@@ -40,7 +40,12 @@ void BM_FullPipelineTestt(benchmark::State& state) {
   for (auto _ : state) {
     ToolOptions opt;
     opt.engine.max_solutions = 64;
-    auto r = run_tool(lang::testt_source(), lang::testt_spec(), opt);
+    Compiled c = compile_frontend(lang::testt_source(), lang::testt_spec());
+    if (!c.ok()) {
+      state.SkipWithError("front end failed");
+      break;
+    }
+    auto r = enumerate_placements(*c.model, *c.fg, opt);
     benchmark::DoNotOptimize(r.placements.size());
   }
 }

@@ -29,7 +29,8 @@ namespace {
 bool g_failed = false;
 
 struct Setup {
-  placement::ToolResult tool;
+  placement::Compiled compiled;
+  placement::EnumerationResult enumerated;
 };
 
 Setup& setup() {
@@ -37,10 +38,16 @@ Setup& setup() {
     auto* out = new Setup;
     placement::ToolOptions opt;
     opt.engine.max_solutions = 0;
-    out->tool =
-        placement::run_tool(lang::testt_source(), lang::testt_spec(), opt);
-    if (!out->tool.ok()) {
-      std::cerr << "tool failed:\n" << out->tool.diags.str();
+    out->compiled =
+        placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+    if (!out->compiled.ok()) {
+      std::cerr << "front end failed:\n" << out->compiled.diags.str();
+      std::abort();
+    }
+    out->enumerated = placement::enumerate_placements(
+        *out->compiled.model, *out->compiled.fg, opt);
+    if (out->enumerated.placements.empty()) {
+      std::cerr << "no placements enumerated\n";
       std::abort();
     }
     return out;
@@ -54,8 +61,8 @@ void BM_LintAllPlacements(benchmark::State& state) {
   std::size_t findings = 0;
   std::size_t iterations = 0;
   for (auto _ : state) {
-    for (const auto& p : s.tool.placements) {
-      analysis::LintReport r = analysis::lint_placement(*s.tool.model, p);
+    for (const auto& p : s.enumerated.placements) {
+      analysis::LintReport r = analysis::lint_placement(*s.compiled.model, p);
       findings += r.findings.size();
       iterations += r.stats.iterations;
     }
@@ -66,7 +73,7 @@ void BM_LintAllPlacements(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(iterations);
   state.counters["placements"] =
-      static_cast<double>(s.tool.placements.size());
+      static_cast<double>(s.enumerated.placements.size());
 }
 BENCHMARK(BM_LintAllPlacements)->Unit(benchmark::kMillisecond);
 
@@ -75,8 +82,8 @@ void BM_LintBestPlacement(benchmark::State& state) {
   Setup& s = setup();
   std::size_t findings = 0;
   for (auto _ : state) {
-    analysis::LintReport r =
-        analysis::lint_placement(*s.tool.model, s.tool.placements.front());
+    analysis::LintReport r = analysis::lint_placement(
+        *s.compiled.model, s.enumerated.placements.front());
     findings += r.findings.size();
     benchmark::DoNotOptimize(r.stats.iterations);
   }

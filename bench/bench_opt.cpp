@@ -27,16 +27,23 @@ namespace {
 bool g_failed = false;
 
 struct Setup {
-  placement::ToolResult coupled;
+  placement::Compiled coupled;
+  placement::EnumerationResult enumerated;
 };
 
 Setup& setup() {
   static Setup* s = [] {
     auto* out = new Setup;
-    out->coupled =
-        placement::run_tool(lang::coupled_source(), lang::coupled_spec());
+    out->coupled = placement::compile_frontend(lang::coupled_source(),
+                                               lang::coupled_spec());
     if (!out->coupled.ok()) {
-      std::cerr << "tool failed:\n" << out->coupled.diags.str();
+      std::cerr << "front end failed:\n" << out->coupled.diags.str();
+      std::abort();
+    }
+    out->enumerated =
+        placement::enumerate_placements(*out->coupled.model, *out->coupled.fg);
+    if (out->enumerated.placements.empty()) {
+      std::cerr << "no placements enumerated\n";
       std::abort();
     }
     return out;
@@ -53,7 +60,7 @@ void BM_OptimizeStaticPipeline(benchmark::State& state) {
   long long saved = 0;
   for (auto _ : state) {
     opt::OptimizeReport rep = opt::optimize_placement(
-        *s.coupled.model, *s.coupled.fg, s.coupled.placements.front(),
+        *s.coupled.model, *s.coupled.fg, s.enumerated.placements.front(),
         options);
     if (!rep.ok() || rep.cost_opt.messages >= rep.cost_raw.messages) {
       g_failed = true;
@@ -73,7 +80,7 @@ void BM_OptimizeWithDynamicProof(benchmark::State& state) {
   Setup& s = setup();
   for (auto _ : state) {
     opt::OptimizeReport rep = opt::optimize_placement(
-        *s.coupled.model, *s.coupled.fg, s.coupled.placements.front());
+        *s.coupled.model, *s.coupled.fg, s.enumerated.placements.front());
     if (!rep.ok() || !rep.dynamic_identical) {
       g_failed = true;
       state.SkipWithError("dynamic proof failed");
@@ -93,18 +100,18 @@ void BM_OptimizeAllPlacements(benchmark::State& state) {
   std::size_t certified = 0;
   for (auto _ : state) {
     certified = 0;
-    for (const auto& p : s.coupled.placements) {
+    for (const auto& p : s.enumerated.placements) {
       opt::OptimizeReport rep = opt::optimize_placement(
           *s.coupled.model, *s.coupled.fg, p, options);
       if (rep.ok()) ++certified;
     }
   }
-  if (certified != s.coupled.placements.size()) {
+  if (certified != s.enumerated.placements.size()) {
     g_failed = true;
     state.SkipWithError("an engine placement failed the static certificate");
   }
   state.counters["placements"] =
-      static_cast<double>(s.coupled.placements.size());
+      static_cast<double>(s.enumerated.placements.size());
 }
 BENCHMARK(BM_OptimizeAllPlacements)->Unit(benchmark::kMillisecond);
 

@@ -29,7 +29,8 @@ namespace {
 constexpr int kRanks = 8;
 
 struct Setup {
-  placement::ToolResult tool;
+  placement::Compiled compiled;
+  placement::EnumerationResult enumerated;
   mesh::Mesh2D m;
   overlap::Decomposition d;
   interp::MeshBinding binding;
@@ -40,10 +41,16 @@ Setup& setup() {
     auto* out = new Setup;
     placement::ToolOptions opt;
     opt.engine.max_solutions = 0;
-    out->tool =
-        placement::run_tool(lang::testt_source(), lang::testt_spec(), opt);
-    if (!out->tool.ok()) {
-      std::cerr << "tool failed\n";
+    out->compiled =
+        placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+    if (!out->compiled.ok()) {
+      std::cerr << "front end failed\n";
+      std::abort();
+    }
+    out->enumerated = placement::enumerate_placements(
+        *out->compiled.model, *out->compiled.fg, opt);
+    if (out->enumerated.placements.empty()) {
+      std::cerr << "no placements enumerated\n";
       std::abort();
     }
     out->m = mesh::rectangle(24, 24);
@@ -78,13 +85,13 @@ bool validate() {
   bool all_correct = true;
 
   // Reference result from the sequential interpretation.
-  interp::RunResult seq = interp::run_sequential(*s.tool.model, s.m,
+  interp::RunResult seq = interp::run_sequential(*s.compiled.model, s.m,
                                                  s.binding);
 
-  for (std::size_t i = 0; i < s.tool.placements.size(); ++i) {
+  for (std::size_t i = 0; i < s.enumerated.placements.size(); ++i) {
     runtime::World w(kRanks);
-    interp::RunResult r = interp::run_spmd(w, *s.tool.model,
-                                           s.tool.placements[i], s.d, s.m,
+    interp::RunResult r = interp::run_spmd(w, *s.compiled.model,
+                                           s.enumerated.placements[i], s.d, s.m,
                                            s.binding);
     if (!r.ok) {
       std::cerr << "placement " << i << " failed: " << r.error;
@@ -94,7 +101,7 @@ bool validate() {
     const auto& b = r.node_outputs.at("result");
     for (std::size_t k = 0; k < a.size(); ++k)
       if (std::fabs(a[k] - b[k]) > 1e-10) all_correct = false;
-    rows.push_back({i, s.tool.placements[i].cost,
+    rows.push_back({i, s.enumerated.placements[i].cost,
                     machine.time(w.counters()) * 1e3, w.total_msgs()});
   }
 
@@ -147,8 +154,13 @@ void BM_RankLegacyFull(benchmark::State& state) {
   for (auto _ : state) {
     placement::ToolOptions opt;
     opt.engine.max_solutions = 0;
-    auto r = placement::run_tool(lang::testt_source(), lang::testt_spec(),
-                                 opt);
+    placement::Compiled c =
+        placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+    if (!c.ok()) {
+      state.SkipWithError("front end failed");
+      break;
+    }
+    auto r = placement::enumerate_placements(*c.model, *c.fg, opt);
     benchmark::DoNotOptimize(r.placements.size());
   }
 }
@@ -160,8 +172,13 @@ void BM_RankKBest8(benchmark::State& state) {
     opt.engine.max_solutions = 8;
     opt.engine.jobs = 4;
     opt.k_best = true;
-    auto r = placement::run_tool(lang::testt_source(), lang::testt_spec(),
-                                 opt);
+    placement::Compiled c =
+        placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+    if (!c.ok()) {
+      state.SkipWithError("front end failed");
+      break;
+    }
+    auto r = placement::enumerate_placements(*c.model, *c.fg, opt);
     benchmark::DoNotOptimize(r.placements.size());
   }
 }
@@ -173,8 +190,8 @@ void BM_SpmdExecuteRank1(benchmark::State& state) {
   Setup& s = setup();
   for (auto _ : state) {
     runtime::World w(kRanks);
-    interp::RunResult r = interp::run_spmd(w, *s.tool.model,
-                                           s.tool.placements.front(), s.d,
+    interp::RunResult r = interp::run_spmd(w, *s.compiled.model,
+                                           s.enumerated.placements.front(), s.d,
                                            s.m, s.binding);
     if (!r.ok) {
       state.SkipWithError("run failed");

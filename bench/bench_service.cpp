@@ -75,20 +75,19 @@ BENCHMARK(BM_ServiceCompileWarm)->Unit(benchmark::kMicrosecond);
 // One iteration = the full cold pipeline on COUPLED: compile, dependence
 // analysis, applicability, flow graph, k-best enumeration.
 void BM_ServicePipelineCold(benchmark::State& state) {
-  service::Request req;
-  req.source = lang::coupled_source();
-  req.spec = lang::coupled_spec();
-  req.options = k_best_options(4);
+  const std::string src = lang::coupled_source();
+  const std::string spec = lang::coupled_spec();
+  const placement::ToolOptions opt = k_best_options(4);
   std::size_t placements = 0;
   for (auto _ : state) {
     service::Service svc;
-    service::Response resp = svc.run(req);
-    if (!resp.built() || resp.placements->placements.empty()) {
+    auto set = svc.placements(src, spec, opt);
+    if (set->placements.empty()) {
       g_failed = true;
       state.SkipWithError("cold pipeline produced no placements");
       break;
     }
-    placements = resp.placements->placements.size();
+    placements = set->placements.size();
   }
   state.counters["placements"] = static_cast<double>(placements);
 }
@@ -97,20 +96,20 @@ BENCHMARK(BM_ServicePipelineCold)->Unit(benchmark::kMillisecond);
 // One iteration = the same request against a warm service: two digests and
 // two LRU lookups, no recomputation.
 void BM_ServicePipelineWarm(benchmark::State& state) {
-  service::Request req;
-  req.source = lang::coupled_source();
-  req.spec = lang::coupled_spec();
-  req.options = k_best_options(4);
+  const std::string src = lang::coupled_source();
+  const std::string spec = lang::coupled_spec();
+  const placement::ToolOptions opt = k_best_options(4);
   service::Service svc;
-  svc.run(req);  // prime
+  svc.placements(src, spec, opt);  // prime
   for (auto _ : state) {
-    service::Response resp = svc.run(req);
-    if (resp.delta.placements.hits != 1) {
+    bool placements_hit = false;
+    auto set = svc.placements(src, spec, opt, nullptr, &placements_hit);
+    if (!placements_hit) {
       g_failed = true;
       state.SkipWithError("warm pipeline missed the placements cache");
       break;
     }
-    benchmark::DoNotOptimize(resp.placements);
+    benchmark::DoNotOptimize(set);
   }
 }
 BENCHMARK(BM_ServicePipelineWarm)->Unit(benchmark::kMicrosecond);
@@ -161,21 +160,20 @@ BENCHMARK(BM_ServiceBatchThroughput)
 /// full pipeline against the warm repeat on the same service.
 bool warm_beats_cold() {
   using clock = std::chrono::steady_clock;
-  service::Request req;
-  req.source = lang::coupled_source();
-  req.spec = lang::coupled_spec();
-  req.options = k_best_options(4);
+  const std::string src = lang::coupled_source();
+  const std::string spec = lang::coupled_spec();
+  const placement::ToolOptions opt = k_best_options(4);
   service::Service svc;
   const auto t0 = clock::now();
-  service::Response cold = svc.run(req);
+  auto cold = svc.placements(src, spec, opt);
   const auto t1 = clock::now();
-  service::Response warm = svc.run(req);
+  auto warm = svc.placements(src, spec, opt);
   const auto t2 = clock::now();
-  if (!cold.built() || cold.placements->placements.empty()) {
+  if (cold->placements.empty()) {
     std::cerr << "validation: cold pipeline failed\n";
     return false;
   }
-  if (warm.placements.get() != cold.placements.get()) {
+  if (warm.get() != cold.get()) {
     std::cerr << "validation: warm run did not share the cold artifact\n";
     return false;
   }

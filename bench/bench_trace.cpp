@@ -53,7 +53,13 @@ void BM_PlaceTracingOff(benchmark::State& state) {
   const std::string src = lang::testt_source();
   const std::string spec = lang::testt_spec();
   for (auto _ : state) {
-    placement::ToolResult r = placement::run_tool(src, spec);
+    placement::Compiled c = placement::compile_frontend(src, spec);
+    if (!c.ok()) {
+      state.SkipWithError("front end failed");
+      break;
+    }
+    placement::EnumerationResult r =
+        placement::enumerate_placements(*c.model, *c.fg);
     benchmark::DoNotOptimize(r.placements.size());
   }
 }
@@ -65,7 +71,13 @@ void BM_PlaceTracingOn(benchmark::State& state) {
   for (auto _ : state) {
     trace::Tracer tracer;
     trace::ScopedInstall guard(&tracer);
-    placement::ToolResult r = placement::run_tool(src, spec);
+    placement::Compiled c = placement::compile_frontend(src, spec);
+    if (!c.ok()) {
+      state.SkipWithError("front end failed");
+      break;
+    }
+    placement::EnumerationResult r =
+        placement::enumerate_placements(*c.model, *c.fg);
     benchmark::DoNotOptimize(r.placements.size());
     benchmark::DoNotOptimize(tracer.events().size());
   }

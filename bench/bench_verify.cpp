@@ -29,7 +29,8 @@ namespace {
 bool g_failed = false;
 
 struct Setup {
-  placement::ToolResult tool;
+  placement::Compiled compiled;
+  placement::EnumerationResult enumerated;
   mesh::Mesh2D m;
   partition::NodePartition part;
   overlap::Decomposition d;
@@ -42,10 +43,16 @@ Setup& setup() {
     auto* out = new Setup;
     placement::ToolOptions opt;
     opt.engine.max_solutions = 0;
-    out->tool =
-        placement::run_tool(lang::testt_source(), lang::testt_spec(), opt);
-    if (!out->tool.ok()) {
-      std::cerr << "tool failed:\n" << out->tool.diags.str();
+    out->compiled =
+        placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+    if (!out->compiled.ok()) {
+      std::cerr << "front end failed:\n" << out->compiled.diags.str();
+      std::abort();
+    }
+    out->enumerated = placement::enumerate_placements(
+        *out->compiled.model, *out->compiled.fg, opt);
+    if (out->enumerated.placements.empty()) {
+      std::cerr << "no placements enumerated\n";
       std::abort();
     }
     out->m = mesh::rectangle(20, 20);
@@ -71,9 +78,9 @@ void BM_StaticVerifyAllPlacements(benchmark::State& state) {
   Setup& s = setup();
   std::size_t findings = 0;
   for (auto _ : state) {
-    for (const auto& p : s.tool.placements) {
+    for (const auto& p : s.enumerated.placements) {
       placement::VerifyReport r =
-          placement::verify_placement(*s.tool.model, *s.tool.fg, p);
+          placement::verify_placement(*s.compiled.model, *s.compiled.fg, p);
       findings += r.findings.size();
     }
   }
@@ -82,16 +89,16 @@ void BM_StaticVerifyAllPlacements(benchmark::State& state) {
     state.SkipWithError("unexpected findings on engine-produced placements");
   }
   state.counters["placements"] =
-      static_cast<double>(s.tool.placements.size());
+      static_cast<double>(s.enumerated.placements.size());
 }
 BENCHMARK(BM_StaticVerifyAllPlacements)->Unit(benchmark::kMillisecond);
 
 void BM_SpmdPlain(benchmark::State& state) {
   Setup& s = setup();
-  const auto& placement = s.tool.placements.front();
+  const auto& placement = s.enumerated.placements.front();
   for (auto _ : state) {
     runtime::World w(Setup::kRanks);
-    auto r = interp::run_spmd(w, *s.tool.model, placement, s.d, s.m,
+    auto r = interp::run_spmd(w, *s.compiled.model, placement, s.d, s.m,
                               s.binding);
     if (!r.ok) {
       g_failed = true;
@@ -105,12 +112,12 @@ BENCHMARK(BM_SpmdPlain)->Unit(benchmark::kMillisecond);
 
 void BM_SpmdSanitized(benchmark::State& state) {
   Setup& s = setup();
-  const auto& placement = s.tool.placements.front();
+  const auto& placement = s.enumerated.placements.front();
   bool clean = true;
   for (auto _ : state) {
     runtime::World w(Setup::kRanks);
     interp::StalenessReport report;
-    auto r = interp::run_spmd_sanitized(w, *s.tool.model, placement, s.d,
+    auto r = interp::run_spmd_sanitized(w, *s.compiled.model, placement, s.d,
                                         s.m, s.binding, &report);
     if (!r.ok) {
       g_failed = true;

@@ -31,18 +31,16 @@ struct Summary {
 
 Summary explore(service::Service& svc, const std::string& source,
                 const std::string& spec) {
-  service::Request req;
-  req.source = source;
-  req.spec = spec;
-  req.options.engine.max_solutions = 4096;
-  service::Response resp = svc.run(req);
+  placement::ToolOptions opt;
+  opt.engine.max_solutions = 4096;
+  // Placements are only enumerated over an accepted, error-free front end,
+  // so a non-empty set implies the program built and was applicable.
+  auto set = svc.placements(source, spec, opt);
   Summary s;
-  if (!resp.built() || !resp.compiled->applicability.ok() ||
-      resp.placements->placements.empty())
-    return s;
+  if (set->placements.empty()) return s;
   s.ok = true;
-  s.placements = resp.placements->placements.size();
-  const auto& best = resp.placements->placements.front();
+  s.placements = set->placements.size();
+  const auto& best = set->placements.front();
   s.best_cost = best.cost;
   s.best_syncs = best.syncs.size();
   for (const auto& sp : best.syncs)

@@ -5,6 +5,7 @@
 #include "cli/registry.hpp"
 #include "placement/tool.hpp"
 #include "service/key.hpp"
+#include "service/service.hpp"
 #include "support/numeric.hpp"
 #include "support/strings.hpp"
 
@@ -166,26 +167,22 @@ placement::ToolOptions Options::tool_options() const {
 }
 
 std::string Options::cache_key(std::string_view content_key) const {
-  // Everything that can change rendered bytes enters the key. `jobs` only
-  // when the run can truncate (then stats are scheduling-dependent);
-  // --trace writes a side file and never affects stdout/stderr.
-  const bool truncatable =
-      budget > 0 || (max_solutions > 0 && !k_best);
-  std::string semantic =
+  // Everything that can change rendered bytes enters the key. The engine
+  // part, including when `jobs` matters, is Service::options_key's; only
+  // the flags that are not tool options are serialized here. --trace
+  // writes a side file and never affects stdout/stderr.
+  const std::string flags =
       command + ";all=" + (all ? "1" : "0") + ";dot=" + (dot ? "1" : "0") +
       ";json=" + (json ? "1" : "0") + ";dyn=" + (dynamic ? "1" : "0") +
-      ";emit=" + std::to_string(emit) + ";kbest=" + (k_best ? "1" : "0") +
-      ";max=" + std::to_string(max_solutions) +
-      ";budget=" + std::to_string(budget) +
-      ";seed=" + std::to_string(seed) +
+      ";emit=" + std::to_string(emit) + ";seed=" + std::to_string(seed) +
       ";faults=" + std::to_string(faults) +
       ";maxerr=" + std::to_string(max_errors) +
       ";werror=" + (werror ? "1" : "0") +
       ";optimize=" + (optimize ? "1" : "0") +
       ";nodyn=" + (no_dynamic ? "1" : "0") +
       ";recover=" + (recover ? "1" : "0") + ";pattern=" + pattern_name;
-  if (truncatable) semantic += ";jobs=" + std::to_string(jobs);
-  return service::digest({content_key, semantic});
+  return service::digest(
+      {content_key, service::Service::options_key(tool_options()), flags});
 }
 
 }  // namespace meshpar::cli

@@ -48,10 +48,10 @@ struct Options {
   [[nodiscard]] placement::ToolOptions tool_options() const;
 
   /// Content-addressed memo key for this invocation's fully rendered
-  /// result: digest(content key of the input pair, the normalized
-  /// serialization of every semantic field). `jobs` is normalized away
-  /// unless the run can truncate (the engine's byte-identity contract;
-  /// see Service::options_key); --trace never enters the key.
+  /// result: digest(content key of the input pair, Service::options_key of
+  /// tool_options(), the serialization of every other semantic flag). The
+  /// tool-options part normalizes `jobs` away unless the run can truncate;
+  /// --trace never enters the key.
   [[nodiscard]] std::string cache_key(std::string_view content_key) const;
 };
 

@@ -73,8 +73,8 @@ RecoveryOutcome run_spmd_recovering(const ProgramModel& model,
   runtime::World world(nranks, wopts);
   CheckpointStore store(nranks, opts.policy.checkpoint_interval);
   StalenessReport stale;
-  RunResult first = run_spmd_checkpointed(world, model, placement, d, m,
-                                          binding, &stale, &store);
+  RunResult first = run_spmd_sanitized(world, model, placement, d, m,
+                                       binding, &stale, &store);
   SpmdStats stats = first.stats;
 
   if (first.ok && stale.clean()) {
@@ -166,8 +166,8 @@ RecoveryOutcome run_spmd_recovering(const ProgramModel& model,
   w2o.hang_timeout_ms = opts.hang_timeout_ms;
   runtime::World world2(nranks, w2o);
   StalenessReport stale2;
-  RunResult second = run_spmd_checkpointed(world2, model, placement, d, m,
-                                           binding, &stale2, &store);
+  RunResult second = run_spmd_sanitized(world2, model, placement, d, m,
+                                        binding, &stale2, &store);
   oc.healer = Healer::kRollback;
   stats.rollbacks = 1;
   stats.replays += 1;

@@ -587,13 +587,11 @@ RunResult run_sequential(const ProgramModel& model, const mesh::Mesh2D& m,
   return collect_scalars(frame, std::move(out));
 }
 
-namespace {
-
-RunResult run_spmd_impl(runtime::World& world, const ProgramModel& model,
-                        const Placement& placement, const Decomposition& d,
-                        const mesh::Mesh2D& m, const MeshBinding& binding,
-                        StalenessReport* report,
-                        CheckpointStore* ckpt = nullptr) {
+RunResult run_spmd_sanitized(runtime::World& world, const ProgramModel& model,
+                             const Placement& placement,
+                             const Decomposition& d, const mesh::Mesh2D& m,
+                             const MeshBinding& binding,
+                             StalenessReport* report, CheckpointStore* ckpt) {
   RunResult out;
   std::mutex out_mu;
   bool failed = false;
@@ -729,30 +727,10 @@ RunResult run_spmd_impl(runtime::World& world, const ProgramModel& model,
   return out;
 }
 
-}  // namespace
-
 RunResult run_spmd(runtime::World& world, const ProgramModel& model,
                    const Placement& placement, const Decomposition& d,
                    const mesh::Mesh2D& m, const MeshBinding& binding) {
-  return run_spmd_impl(world, model, placement, d, m, binding, nullptr);
-}
-
-RunResult run_spmd_sanitized(runtime::World& world, const ProgramModel& model,
-                             const Placement& placement,
-                             const Decomposition& d, const mesh::Mesh2D& m,
-                             const MeshBinding& binding,
-                             StalenessReport* report) {
-  return run_spmd_impl(world, model, placement, d, m, binding, report);
-}
-
-RunResult run_spmd_checkpointed(runtime::World& world,
-                                const ProgramModel& model,
-                                const Placement& placement,
-                                const Decomposition& d, const mesh::Mesh2D& m,
-                                const MeshBinding& binding,
-                                StalenessReport* report,
-                                CheckpointStore* ckpt) {
-  return run_spmd_impl(world, model, placement, d, m, binding, report, ckpt);
+  return run_spmd_sanitized(world, model, placement, d, m, binding, nullptr);
 }
 
 }  // namespace meshpar::interp

@@ -110,34 +110,28 @@ RunResult run_spmd(runtime::World& world,
                    const overlap::Decomposition& d, const mesh::Mesh2D& m,
                    const MeshBinding& binding);
 
-/// Like run_spmd, but every rank shadows its partitioned arrays with
-/// per-cell coherence epochs: a cell's epoch is bumped to the variable's
-/// current write generation when the rank computes it (or receives it in an
-/// exchange) and left behind when it does not, so a read of a cell whose
-/// epoch lags the generation is a *stale overlap read* — the value differs
-/// from what the sequential program would have used. Findings land in
-/// `report` as MP-S001 diagnostics; the run itself is unaffected.
+class CheckpointStore;
+
+/// Like run_spmd, but when `report` is non-null every rank shadows its
+/// partitioned arrays with per-cell coherence epochs: a cell's epoch is
+/// bumped to the variable's current write generation when the rank computes
+/// it (or receives it in an exchange) and left behind when it does not, so a
+/// read of a cell whose epoch lags the generation is a *stale overlap read*
+/// — the value differs from what the sequential program would have used.
+/// Findings land in `report` as MP-S001 diagnostics; the run itself is
+/// unaffected.
+///
+/// With `ckpt`, the run also checkpoints at coherence epochs: at every
+/// checkpoint sync boundary each rank feeds its owned slice of the synced
+/// variable into `ckpt` (recording a globally consistent cut, or verifying
+/// one during a rollback replay — see checkpoint.hpp).
 RunResult run_spmd_sanitized(runtime::World& world,
                              const placement::ProgramModel& model,
                              const placement::Placement& placement,
                              const overlap::Decomposition& d,
                              const mesh::Mesh2D& m, const MeshBinding& binding,
-                             StalenessReport* report);
-
-class CheckpointStore;
-
-/// run_spmd_sanitized plus coherence-epoch checkpointing: at every
-/// checkpoint sync boundary each rank feeds its owned slice of the synced
-/// variable into `ckpt` (recording a globally consistent cut, or verifying
-/// one during a rollback replay — see checkpoint.hpp).
-RunResult run_spmd_checkpointed(runtime::World& world,
-                                const placement::ProgramModel& model,
-                                const placement::Placement& placement,
-                                const overlap::Decomposition& d,
-                                const mesh::Mesh2D& m,
-                                const MeshBinding& binding,
-                                StalenessReport* report,
-                                CheckpointStore* ckpt);
+                             StalenessReport* report,
+                             CheckpointStore* ckpt = nullptr);
 
 /// The standard binding for TESTT-shaped programs: SOM built from local
 /// triangles (1-based), AIRETRI/AIRESOM from the global areas; callers add

@@ -330,19 +330,6 @@ std::vector<Placement> materialize_all(
   return out;
 }
 
-std::optional<Placement> materialize(const ProgramModel& model,
-                                     const FlowGraph& fg,
-                                     const Assignment& assignment,
-                                     MaterializeFailure* failure) {
-  return materialize(Engine(model, fg), assignment, failure);
-}
-
-std::vector<Placement> materialize_all(
-    const ProgramModel& model, const FlowGraph& fg,
-    const std::vector<Assignment>& assignments) {
-  return materialize_all(Engine(model, fg), assignments);
-}
-
 // ---- streaming k-best ranking (DESIGN.md §10) ----
 
 namespace {

@@ -152,16 +152,6 @@ std::optional<Placement> materialize(const Engine& engine,
 std::vector<Placement> materialize_all(
     const Engine& engine, const std::vector<Assignment>& assignments);
 
-/// Convenience overloads constructing the engine internally (the engine's
-/// per-arrow legal-transition tables are what make the lookup faithful).
-std::optional<Placement> materialize(const ProgramModel& model,
-                                     const FlowGraph& fg,
-                                     const Assignment& assignment,
-                                     MaterializeFailure* failure = nullptr);
-std::vector<Placement> materialize_all(
-    const ProgramModel& model, const FlowGraph& fg,
-    const std::vector<Assignment>& assignments);
-
 struct KBestResult {
   /// The k cheapest distinct placements (all of them when k = 0), ordered
   /// by (cost, key) — the same order materialize_all produces.

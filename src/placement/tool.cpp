@@ -4,8 +4,7 @@
 
 namespace meshpar::placement {
 
-Compiled compile_frontend(std::string_view source, std::string_view spec_text,
-                          bool force) {
+Compiled compile_frontend(std::string_view source, std::string_view spec_text) {
   Compiled c;
   {
     trace::Span span("tool/build-model", "tool");
@@ -17,7 +16,7 @@ Compiled compile_frontend(std::string_view source, std::string_view spec_text,
     trace::Span span("tool/applicability", "tool");
     c.applicability = check_applicability(*c.model);
   }
-  if (!c.applicability.ok() && !force) return c;
+  if (!c.applicability.ok()) return c;
 
   trace::Span span("tool/flowgraph", "tool");
   c.fg = std::make_unique<FlowGraph>(FlowGraph::build(*c.model, c.diags));
@@ -41,24 +40,6 @@ EnumerationResult enumerate_placements(const ProgramModel& model,
   span.arg("placements", r.placements.size());
   span.arg("assignments", r.stats.assignments);
   span.arg("backtracks", r.stats.backtracks);
-  return r;
-}
-
-ToolResult run_tool(std::string_view source, std::string_view spec_text,
-                    const ToolOptions& options) {
-  Compiled c = compile_frontend(source, spec_text, options.force);
-  ToolResult r;
-  r.model = std::move(c.model);
-  r.fg = std::move(c.fg);
-  r.applicability = std::move(c.applicability);
-  r.diags = std::move(c.diags);
-  if (!r.model || !r.fg) return r;
-  if (!r.applicability.ok() && !options.force) return r;
-  if (r.diags.has_errors()) return r;
-
-  EnumerationResult e = enumerate_placements(*r.model, *r.fg, options);
-  r.placements = std::move(e.placements);
-  r.stats = e.stats;
   return r;
 }
 

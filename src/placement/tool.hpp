@@ -12,9 +12,7 @@
 //   * enumerate_placements() — the search + ranking over a compiled front
 //     end, parameterized by ToolOptions.
 //
-// `service::Service` memoizes both halves behind a content-addressed cache;
-// run_tool() remains as the one-shot compatibility wrapper (compile +
-// enumerate, no caching) that the original examples and tests drive.
+// `service::Service` memoizes both halves behind a content-addressed cache.
 #pragma once
 
 #include <memory>
@@ -30,7 +28,7 @@ namespace meshpar::placement {
 /// any enumeration option enters the picture.
 struct Compiled {
   std::unique_ptr<ProgramModel> model;  // null: the program/spec failed to build
-  std::unique_ptr<FlowGraph> fg;        // null: rejected applicability (no force)
+  std::unique_ptr<FlowGraph> fg;        // null: rejected applicability
   ApplicabilityReport applicability;
   DiagnosticEngine diags;               // front-end build diagnostics
 
@@ -42,29 +40,12 @@ struct Compiled {
 };
 
 /// Runs the front end only: parse + model + applicability + flow graph.
-/// With `force`, the flow graph is built even when applicability rejected
-/// the partitioning (diagnostic runs).
-Compiled compile_frontend(std::string_view source, std::string_view spec_text,
-                          bool force = false);
-
-struct ToolResult {
-  std::unique_ptr<ProgramModel> model;
-  std::unique_ptr<FlowGraph> fg;
-  ApplicabilityReport applicability;
-  std::vector<Placement> placements;  // ranked, cheapest first
-  EngineStats stats;
-  DiagnosticEngine diags;
-
-  [[nodiscard]] bool ok() const {
-    return model && applicability.ok() && !placements.empty();
-  }
-};
+/// The flow graph is built only when applicability accepts the
+/// partitioning.
+Compiled compile_frontend(std::string_view source, std::string_view spec_text);
 
 struct ToolOptions {
   EngineOptions engine;
-  /// Continue into placement even if applicability reported forbidden
-  /// dependences (for diagnostics).
-  bool force = false;
   /// Rank with the bounded-memory streaming k-best pipeline
   /// (enumerate_k_best) instead of enumerate + materialize_all. Same
   /// placements, same order; engine.max_solutions becomes the number of
@@ -83,12 +64,5 @@ struct EnumerationResult {
 EnumerationResult enumerate_placements(const ProgramModel& model,
                                        const FlowGraph& fg,
                                        const ToolOptions& options = {});
-
-/// Runs the whole pipeline: compile_frontend + enumerate_placements, no
-/// caching. Kept as the one-shot compatibility entry point; callers that
-/// run more than one action over the same (source, spec) should go through
-/// `service::Service` instead, which memoizes both halves.
-ToolResult run_tool(std::string_view source, std::string_view spec_text,
-                    const ToolOptions& options = {});
 
 }  // namespace meshpar::placement

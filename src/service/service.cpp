@@ -42,7 +42,6 @@ std::string Service::options_key(const placement::ToolOptions& o) {
   k += ";budget=" + std::to_string(o.engine.max_assignments);
   k += ";prune=" + std::to_string(o.engine.prune_domains ? 1 : 0);
   k += ";dom=" + std::to_string(o.engine.dominance ? 1 : 0);
-  k += ";force=" + std::to_string(o.force ? 1 : 0);
   if (truncatable) k += ";jobs=" + std::to_string(o.engine.jobs);
   return k;
 }
@@ -129,36 +128,6 @@ std::shared_ptr<const ActionResult> Service::result(
 
 bool Service::has_result(const std::string& key) const {
   return results_.contains(key);
-}
-
-Response Service::run(const Request& request) {
-  Response resp;
-  resp.key = content_key(request.source, request.spec);
-  auto tally = [](LevelStats& level, bool hit) {
-    if (hit)
-      ++level.hits;
-    else
-      ++level.misses;
-  };
-  if (request.actions & kEnumerate) {
-    bool compile_hit = false;
-    bool placements_hit = false;
-    const bool uncacheable = request.options.engine.deadline_ms != 0;
-    resp.placements = placements(request.source, request.spec,
-                                 request.options, &compile_hit,
-                                 &placements_hit);
-    resp.compiled = resp.placements->compiled;
-    tally(resp.delta.compile, compile_hit);
-    if (uncacheable)
-      ++resp.delta.uncacheable;
-    else
-      tally(resp.delta.placements, placements_hit);
-  } else {
-    bool compile_hit = false;
-    resp.compiled = compile(request.source, request.spec, &compile_hit);
-    tally(resp.delta.compile, compile_hit);
-  }
-  return resp;
 }
 
 CacheStats Service::stats() const {

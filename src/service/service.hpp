@@ -1,6 +1,7 @@
 // The placement service layer (DESIGN.md §15): a thread-safe facade over
-// the compile -> enumerate pipeline whose unit of work is a structured
-// Request and whose artifacts are shared, immutable, and content-addressed.
+// the compile -> enumerate pipeline. Its three calls — compile(),
+// placements() and result() — each serve one cache level, and every
+// artifact they return is shared, immutable, and content-addressed.
 //
 // Three memoization levels, each a bounded coalescing LRU (cache.hpp):
 //
@@ -79,43 +80,9 @@ struct ServiceConfig {
   std::size_t result_capacity = 128;
 };
 
-/// What a Request wants computed. kFrontEnd alone serves the model-level
-/// subcommands (check, deps, fission); kEnumerate implies kFrontEnd.
-enum Action : unsigned {
-  kFrontEnd = 1u << 0,
-  kEnumerate = 1u << 1,
-};
-
-struct Request {
-  std::string source;
-  std::string spec;
-  placement::ToolOptions options;
-  unsigned actions = kFrontEnd | kEnumerate;
-};
-
-struct Response {
-  /// Content address of (source, spec).
-  std::string key;
-  std::shared_ptr<const placement::Compiled> compiled;
-  /// Null unless kEnumerate was requested.
-  std::shared_ptr<const PlacementSet> placements;
-  /// Cache activity incurred by THIS request alone (hit/miss per level;
-  /// evictions are a service-wide effect and stay 0 here). Computed from
-  /// the request's own lookups, so it is exact even while other threads
-  /// drive the same service.
-  CacheStats delta;
-
-  /// The front end built: model-level actions can proceed.
-  [[nodiscard]] bool built() const { return compiled && compiled->model; }
-};
-
 class Service {
  public:
   explicit Service(const ServiceConfig& config = {});
-
-  /// The structured entry point: compiles (and, when requested, enumerates)
-  /// through the cache.
-  Response run(const Request& request);
 
   /// The compile level alone (cached, coalesced). `hit_out` (optional)
   /// reports whether the artifact was reused.

@@ -26,12 +26,20 @@ namespace {
 
 using automaton::CommAction;
 using placement::Placement;
-using placement::ToolResult;
 
-const ToolResult& testt_tool() {
-  static ToolResult r =
-      placement::run_tool(lang::testt_source(), lang::testt_spec());
-  return r;
+const placement::Compiled& testt() {
+  static const placement::Compiled c =
+      placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+  return c;
+}
+
+/// The default enumeration over testt(); empty if its front end failed.
+const placement::EnumerationResult& testt_placements() {
+  static const placement::EnumerationResult e =
+      testt().ok()
+          ? placement::enumerate_placements(*testt().model, *testt().fg)
+          : placement::EnumerationResult{};
+  return e;
 }
 
 /// Drops the first sync with the given action from a copy of `p`.
@@ -55,11 +63,12 @@ std::vector<std::string> rendered(const LintReport& rep) {
 }
 
 TEST(Lint, EveryEnumeratedTesttPlacementIsCoherent) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
   ASSERT_FALSE(r.placements.empty());
   for (std::size_t i = 0; i < r.placements.size(); ++i) {
-    LintReport rep = lint_placement(*r.model, r.placements[i]);
+    LintReport rep = lint_placement(*c.model, r.placements[i]);
     EXPECT_TRUE(rep.clean())
         << "placement #" << i << ": " << rep.findings.front().message;
     EXPECT_GT(rep.stats.nodes, 0u);
@@ -69,12 +78,14 @@ TEST(Lint, EveryEnumeratedTesttPlacementIsCoherent) {
 }
 
 TEST(Lint, EveryEnumeratedCoupledPlacementIsCoherent) {
-  ToolResult r =
-      placement::run_tool(lang::coupled_source(), lang::coupled_spec());
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  placement::Compiled c =
+      placement::compile_frontend(lang::coupled_source(), lang::coupled_spec());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult r =
+      placement::enumerate_placements(*c.model, *c.fg);
   ASSERT_FALSE(r.placements.empty());
   for (std::size_t i = 0; i < r.placements.size(); ++i) {
-    LintReport rep = lint_placement(*r.model, r.placements[i]);
+    LintReport rep = lint_placement(*c.model, r.placements[i]);
     EXPECT_TRUE(rep.clean())
         << "placement #" << i << ": " << rep.findings.front().message;
   }
@@ -84,24 +95,28 @@ TEST(Lint, SyntheticPlacementsAreCoherent) {
   placement::ToolOptions opt;
   opt.k_best = true;
   opt.engine.max_solutions = 10;
-  ToolResult r = placement::run_tool(lang::synthetic_source(3),
-                                     lang::synthetic_spec(3), opt);
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  placement::Compiled c = placement::compile_frontend(
+      lang::synthetic_source(3), lang::synthetic_spec(3));
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult r =
+      placement::enumerate_placements(*c.model, *c.fg, opt);
   ASSERT_FALSE(r.placements.empty());
   for (std::size_t i = 0; i < r.placements.size(); ++i) {
-    LintReport rep = lint_placement(*r.model, r.placements[i]);
+    LintReport rep = lint_placement(*c.model, r.placements[i]);
     EXPECT_TRUE(rep.clean())
         << "placement #" << i << ": " << rep.findings.front().message;
   }
 }
 
 TEST(Lint, DeletedUpdateIsProvablyStaleOnEveryPath) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   std::string var;
   Placement bad = drop_sync(r.placements.front(), CommAction::kUpdateCopy,
                             &var);
-  LintReport rep = lint_placement(*r.model, bad);
+  LintReport rep = lint_placement(*c.model, bad);
   ASSERT_TRUE(rep.has(kLintStaleEveryPath))
       << "deleting the only update of '" << var
       << "' must be provably stale";
@@ -121,13 +136,15 @@ TEST(Lint, ProvablyStaleFindingsAgreeWithDynamicSanitizer) {
   // stale (MP-L001 at a known source location) must also trip the dynamic
   // MP-S001 sanitizer at that exact statement when the crippled placement
   // actually runs.
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = drop_sync(r.placements.front(), CommAction::kUpdateCopy);
 
   // The static pass anchors at the reading use, the dynamic sanitizer at
   // the enclosing statement: agreement is per source line.
-  LintReport rep = lint_placement(*r.model, bad);
+  LintReport rep = lint_placement(*c.model, bad);
   std::set<std::uint32_t> static_lines;
   for (const Diagnostic& f : rep.findings)
     if (f.code == kLintStaleEveryPath && f.loc.known())
@@ -138,16 +155,16 @@ TEST(Lint, ProvablyStaleFindingsAgreeWithDynamicSanitizer) {
   const int parts = 3;
   auto part = partition::partition_nodes(m, parts,
                                          partition::Algorithm::kRcb);
-  auto d = r.model->autom().pattern() ==
+  auto d = c.model->autom().pattern() ==
                    automaton::PatternKind::kNodeBoundary
                ? overlap::decompose_node_boundary(m, part)
                : overlap::decompose_entity_layer(
-                     m, part, r.model->autom().halo_depth());
-  interp::MeshBinding binding = interp::synthetic_binding(*r.model, m);
+                     m, part, c.model->autom().halo_depth());
+  interp::MeshBinding binding = interp::synthetic_binding(*c.model, m);
   runtime::World world(parts);
   interp::StalenessReport dyn;
   interp::RunResult run = interp::run_spmd_sanitized(
-      world, *r.model, bad, d, m, binding, &dyn);
+      world, *c.model, bad, d, m, binding, &dyn);
   ASSERT_TRUE(run.ok) << run.error;
   ASSERT_FALSE(dyn.clean());
   std::set<std::uint32_t> dynamic_lines;
@@ -162,8 +179,10 @@ TEST(Lint, RetargetedSyncIsDeadCommunication) {
   // Move an overlap update to just before the loop that (re)initializes
   // its variable: the refreshed overlap values are overwritten before any
   // read, which is exactly MP-L003.
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   auto it = bad.syncs.begin();
   while (it != bad.syncs.end() && it->action != CommAction::kUpdateCopy)
@@ -171,8 +190,8 @@ TEST(Lint, RetargetedSyncIsDeadCommunication) {
   ASSERT_NE(it, bad.syncs.end());
   const std::string var = it->var;
   const lang::Stmt* killer_loop = nullptr;
-  for (const lang::Stmt* s : r.model->cfg().statements()) {
-    const auto& du = r.model->defuse(*s);
+  for (const lang::Stmt* s : c.model->cfg().statements()) {
+    const auto& du = c.model->defuse(*s);
     if (!du.def || du.def->var != var ||
         du.def->shape != dfg::AccessShape::kElementwise)
       continue;
@@ -180,28 +199,30 @@ TEST(Lint, RetargetedSyncIsDeadCommunication) {
     for (const auto& use : du.uses)
       if (use.var == var) reads_self = true;
     if (reads_self) continue;
-    killer_loop = r.model->enclosing_partitioned(*s);
+    killer_loop = c.model->enclosing_partitioned(*s);
     if (killer_loop) break;
   }
   ASSERT_NE(killer_loop, nullptr)
       << "expected an elementwise overwrite loop for '" << var << "'";
   it->before = killer_loop;
-  LintReport rep = lint_placement(*r.model, bad);
+  LintReport rep = lint_placement(*c.model, bad);
   EXPECT_TRUE(rep.has(kLintDeadComm))
       << "an update refreshing '" << var
       << "' right before it is overwritten must be dead";
 }
 
 TEST(Lint, DuplicatedSyncIsRedundant) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   auto it = bad.syncs.begin();
   while (it != bad.syncs.end() && it->action != CommAction::kUpdateCopy)
     ++it;
   ASSERT_NE(it, bad.syncs.end());
   bad.syncs.push_back(*it);  // second identical sync at the same point
-  LintReport rep = lint_placement(*r.model, bad);
+  LintReport rep = lint_placement(*c.model, bad);
   ASSERT_TRUE(rep.has(kLintRedundantSync));
   for (const Diagnostic& f : rep.findings) {
     if (f.code == kLintRedundantSync) {
@@ -212,8 +233,10 @@ TEST(Lint, DuplicatedSyncIsRedundant) {
 }
 
 TEST(Lint, WerrorPromotesAdviceToErrors) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   auto it = bad.syncs.begin();
   while (it != bad.syncs.end() && it->action != CommAction::kUpdateCopy)
@@ -222,7 +245,7 @@ TEST(Lint, WerrorPromotesAdviceToErrors) {
   bad.syncs.push_back(*it);
   LintOptions opt;
   opt.werror = true;
-  LintReport rep = lint_placement(*r.model, bad, opt);
+  LintReport rep = lint_placement(*c.model, bad, opt);
   ASSERT_TRUE(rep.has(kLintRedundantSync));
   EXPECT_FALSE(rep.ok());
   for (const Diagnostic& f : rep.findings) {
@@ -239,8 +262,10 @@ TEST(Lint, ShrunkIterationDomainIsCaught) {
   // business, not a coherence bug), but across the enumeration the lint
   // pass must prove both flavors of staleness: every-path (MP-L001) and
   // single-path (MP-L002, with the offending path attached as a note).
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   std::size_t corrupted = 0, every_path = 0, some_path_with_note = 0;
   for (const Placement& p : r.placements) {
     for (std::size_t d = 0; d < p.domains.size(); ++d) {
@@ -248,7 +273,7 @@ TEST(Lint, ShrunkIterationDomainIsCaught) {
       Placement bad = p;
       bad.domains[d].layers = 0;
       ++corrupted;
-      LintReport rep = lint_placement(*r.model, bad);
+      LintReport rep = lint_placement(*c.model, bad);
       if (rep.has(kLintStaleEveryPath)) ++every_path;
       if (rep.has(kLintStaleSomePath)) {
         bool note = false;
@@ -277,14 +302,16 @@ TEST(Lint, WideningTerminatesAndStaysSound) {
   placement::ToolOptions opt;
   opt.k_best = true;
   opt.engine.max_solutions = 5;
-  ToolResult r = placement::run_tool(lang::synthetic_source(6),
-                                     lang::synthetic_spec(6), opt);
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  placement::Compiled c = placement::compile_frontend(
+      lang::synthetic_source(6), lang::synthetic_spec(6));
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult r =
+      placement::enumerate_placements(*c.model, *c.fg, opt);
   ASSERT_FALSE(r.placements.empty());
   LintOptions lopt;
   lopt.widen_after = 1;
   for (const Placement& p : r.placements) {
-    LintReport rep = lint_placement(*r.model, p, lopt);
+    LintReport rep = lint_placement(*c.model, p, lopt);
     EXPECT_TRUE(rep.ok())
         << "widening must not introduce errors: "
         << rep.findings.front().message;
@@ -294,11 +321,13 @@ TEST(Lint, WideningTerminatesAndStaysSound) {
 }
 
 TEST(Lint, WideningEngagesOnLowThreshold) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   LintOptions lopt;
   lopt.widen_after = 1;
-  LintReport rep = lint_placement(*r.model, r.placements.front(), lopt);
+  LintReport rep = lint_placement(*c.model, r.placements.front(), lopt);
   EXPECT_GT(rep.stats.widenings, 0u)
       << "the convergence cycle must revisit nodes past the threshold";
 }
@@ -307,17 +336,19 @@ TEST(Lint, ReportIsWorklistOrderIndependent) {
   // The join is commutative/associative and the transfers are monotone, so
   // FIFO and LIFO processing must converge to the same least fixpoint and
   // therefore the same report — on clean and on corrupted placements.
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   LintOptions fifo, lifo;
   lifo.reverse_worklist = true;
   for (const Placement& p : r.placements) {
-    EXPECT_EQ(rendered(lint_placement(*r.model, p, fifo)),
-              rendered(lint_placement(*r.model, p, lifo)));
+    EXPECT_EQ(rendered(lint_placement(*c.model, p, fifo)),
+              rendered(lint_placement(*c.model, p, lifo)));
   }
   Placement bad = drop_sync(r.placements.front(), CommAction::kUpdateCopy);
-  auto a = rendered(lint_placement(*r.model, bad, fifo));
-  auto b = rendered(lint_placement(*r.model, bad, lifo));
+  auto a = rendered(lint_placement(*c.model, bad, fifo));
+  auto b = rendered(lint_placement(*c.model, bad, lifo));
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }
@@ -337,11 +368,13 @@ TEST(Lint, UnreachableLoopIsReported) {
   placement::ToolOptions opt;
   opt.k_best = true;
   opt.engine.max_solutions = 3;
-  ToolResult r = placement::run_tool(src, lang::testt_spec(), opt);
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  placement::Compiled c = placement::compile_frontend(src, lang::testt_spec());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult r =
+      placement::enumerate_placements(*c.model, *c.fg, opt);
   ASSERT_FALSE(r.placements.empty());
   for (const Placement& p : r.placements) {
-    LintReport rep = lint_placement(*r.model, p);
+    LintReport rep = lint_placement(*c.model, p);
     EXPECT_TRUE(rep.has(kLintUnreachable));
     std::size_t l005 = 0;
     for (const Diagnostic& f : rep.findings)
@@ -352,11 +385,13 @@ TEST(Lint, UnreachableLoopIsReported) {
 }
 
 TEST(Lint, FindingsFlowIntoTheDiagnosticSink) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = drop_sync(r.placements.front(), CommAction::kUpdateCopy);
   DiagnosticEngine sink;
-  LintReport rep = lint_placement(*r.model, bad, {}, &sink);
+  LintReport rep = lint_placement(*c.model, bad, {}, &sink);
   ASSERT_FALSE(rep.clean());
   EXPECT_TRUE(sink.has_code(kLintStaleEveryPath));
   EXPECT_EQ(sink.all().size(), rep.findings.size());

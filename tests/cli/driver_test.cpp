@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <sstream>
 #include <string_view>
+#include <unistd.h>
 #include <vector>
 
 #include "cli/registry.hpp"
@@ -448,12 +449,31 @@ TEST(Driver, ExitCodeContractMatrix) {
 
 // ------------------------------------------------------------------ batch
 
+/// A temp path owned by the running test case in this process. ctest runs
+/// every case as its own process, concurrently under -j, so a path shared
+/// between cases would let one case overwrite another's files.
+std::string unique_temp_path(const std::string& stem) {
+  const testing::TestInfo* info =
+      testing::UnitTest::GetInstance()->current_test_info();
+  return testing::TempDir() + stem + "_" + info->test_suite_name() + "_" +
+         info->name() + "_" + std::to_string(getpid());
+}
+
 /// Writes the two bundled example pairs plus a manifest into a fresh temp
-/// directory and returns the manifest path.
+/// directory and returns the manifest path. The directories are removed
+/// when the process exits.
 std::string write_batch_fixture(const std::string& manifest_json) {
-  static int fixture_counter = 0;
-  const std::string dir = testing::TempDir() + "mptool_batch_" +
-                          std::to_string(fixture_counter++) + "/";
+  struct Cleanup {
+    std::vector<std::string> dirs;
+    ~Cleanup() {
+      std::error_code ec;
+      for (const auto& d : dirs) std::filesystem::remove_all(d, ec);
+    }
+  };
+  static Cleanup cleanup;
+  const std::string dir = unique_temp_path("mptool_batch") + "_" +
+                          std::to_string(cleanup.dirs.size()) + "/";
+  cleanup.dirs.push_back(dir);
   std::filesystem::create_directories(dir);
   auto put = [&](const std::string& name, const std::string& text) {
     std::ofstream f(dir + name, std::ios::binary);
@@ -829,7 +849,7 @@ TEST(Driver, TraceEventSetIsDeterministicAcrossRepeatsAndJobs) {
 }
 
 TEST(Driver, TraceFlagWritesChromeTraceJson) {
-  const std::string path = testing::TempDir() + "mptool_trace_test.json";
+  const std::string path = unique_temp_path("mptool_trace") + ".json";
   std::remove(path.c_str());
   DriverResult r = place_testt({"--trace", path});
   EXPECT_EQ(r.exit_code, 0) << r.error;

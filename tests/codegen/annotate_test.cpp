@@ -8,13 +8,26 @@
 namespace meshpar::codegen {
 namespace {
 
-placement::ToolResult run_testt() {
-  return placement::run_tool(lang::testt_source(), lang::testt_spec());
+const placement::Compiled& testt() {
+  static const placement::Compiled c =
+      placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+  return c;
+}
+
+/// The default enumeration over testt(); empty if its front end failed.
+const placement::EnumerationResult& testt_placements() {
+  static const placement::EnumerationResult e =
+      testt().ok()
+          ? placement::enumerate_placements(*testt().model, *testt().fg)
+          : placement::EnumerationResult{};
+  return e;
 }
 
 TEST(Annotate, BestPlacementLooksLikeFigure9) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   // Find the figure-9 placement: exactly the two grouped syncs and an
   // OVERLAP copy loop.
   const placement::Placement* fig9 = nullptr;
@@ -25,7 +38,7 @@ TEST(Annotate, BestPlacementLooksLikeFigure9) {
     }
   }
   ASSERT_NE(fig9, nullptr);
-  std::string src = annotate(*r.model, *fig9);
+  std::string src = annotate(*c.model, *fig9);
   EXPECT_NE(src.find("C$SYNCHRONIZE METHOD: overlap-som ON ARRAY: new"),
             std::string::npos);
   EXPECT_NE(src.find("C$SYNCHRONIZE METHOD: + reduction ON SCALAR: sqrdiff"),
@@ -40,8 +53,10 @@ TEST(Annotate, BestPlacementLooksLikeFigure9) {
 }
 
 TEST(Annotate, EndOfProgramSyncIsEmittedAfterLastStatement) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   const placement::Placement* with_end = nullptr;
   for (const auto& p : r.placements) {
     for (const auto& s : p.syncs)
@@ -49,27 +64,31 @@ TEST(Annotate, EndOfProgramSyncIsEmittedAfterLastStatement) {
     if (with_end) break;
   }
   ASSERT_NE(with_end, nullptr) << "no placement with an end-of-program sync";
-  std::string src = annotate(*r.model, *with_end);
+  std::string src = annotate(*c.model, *with_end);
   auto sync_pos = src.find("C$SYNCHRONIZE METHOD: overlap-som ON ARRAY: result");
   ASSERT_NE(sync_pos, std::string::npos);
   EXPECT_GT(sync_pos, src.find("result(i) = new(i)"));
 }
 
 TEST(Annotate, EveryPartitionedLoopGetsADomain) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
-  std::string src = annotate(*r.model, r.placements.front());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
+  std::string src = annotate(*c.model, r.placements.front());
   std::size_t count = 0, pos = 0;
   while ((pos = src.find("C$ITERATION DOMAIN:", pos)) != std::string::npos) {
     ++count;
     ++pos;
   }
-  EXPECT_EQ(count, r.model->partitioned_loops().size());
+  EXPECT_EQ(count, c.model->partitioned_loops().size());
 }
 
 TEST(Annotate, CommPlanMirrorsPlacement) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   const auto& p = r.placements.front();
   CommPlan plan = comm_plan(p);
   EXPECT_EQ(plan.steps.size(), p.syncs.size());
@@ -77,19 +96,25 @@ TEST(Annotate, CommPlanMirrorsPlacement) {
 }
 
 TEST(Annotate, DomainTextVariants) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(domain_text(*r.model, 0), "KERNEL");
-  EXPECT_EQ(domain_text(*r.model, 1), "OVERLAP");
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
+  EXPECT_EQ(domain_text(*c.model, 0), "KERNEL");
+  EXPECT_EQ(domain_text(*c.model, 1), "OVERLAP");
 
   std::string spec = lang::testt_spec();
   auto pos = spec.find("overlap-triangle-layer");
   spec.replace(pos, std::string("overlap-triangle-layer").size(),
                "overlap-node-boundary");
-  auto r2 = placement::run_tool(lang::testt_source(), spec);
-  ASSERT_TRUE(r2.ok()) << r2.diags.str();
-  EXPECT_EQ(domain_text(*r2.model, 0), "OWNED");
-  EXPECT_EQ(domain_text(*r2.model, 1), "ALL");
+  placement::Compiled c2 =
+      placement::compile_frontend(lang::testt_source(), spec);
+  ASSERT_TRUE(c2.ok()) << c2.diags.str();
+  placement::EnumerationResult r2 =
+      placement::enumerate_placements(*c2.model, *c2.fg);
+  ASSERT_FALSE(r2.placements.empty());
+  EXPECT_EQ(domain_text(*c2.model, 0), "OWNED");
+  EXPECT_EQ(domain_text(*c2.model, 1), "ALL");
 }
 
 TEST(Annotate, DeepHaloDomainText) {
@@ -99,12 +124,16 @@ TEST(Annotate, DeepHaloDomainText) {
                "overlap-triangle-layer-2");
   placement::ToolOptions opt;
   opt.engine.max_solutions = 1024;
-  auto r = placement::run_tool(lang::synthetic_source(2), spec, opt);
-  ASSERT_TRUE(r.ok()) << r.diags.str();
-  EXPECT_EQ(domain_text(*r.model, 0), "KERNEL");
-  EXPECT_EQ(domain_text(*r.model, 1), "OVERLAP:1");
-  EXPECT_EQ(domain_text(*r.model, 2), "OVERLAP:2");
-  std::string src = annotate(*r.model, r.placements.front());
+  placement::Compiled c =
+      placement::compile_frontend(lang::synthetic_source(2), spec);
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult r =
+      placement::enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(r.placements.empty());
+  EXPECT_EQ(domain_text(*c.model, 0), "KERNEL");
+  EXPECT_EQ(domain_text(*c.model, 1), "OVERLAP:1");
+  EXPECT_EQ(domain_text(*c.model, 2), "OVERLAP:2");
+  std::string src = annotate(*c.model, r.placements.front());
   EXPECT_NE(src.find("C$ITERATION DOMAIN: OVERLAP:2"), std::string::npos);
 }
 
@@ -113,9 +142,13 @@ TEST(Annotate, AssemblyPatternAnnotations) {
   auto pos = spec.find("overlap-triangle-layer");
   spec.replace(pos, std::string("overlap-triangle-layer").size(),
                "overlap-node-boundary");
-  auto r = placement::run_tool(lang::testt_source(), spec);
-  ASSERT_TRUE(r.ok()) << r.diags.str();
-  std::string src = annotate(*r.model, r.placements.front());
+  placement::Compiled c =
+      placement::compile_frontend(lang::testt_source(), spec);
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult r =
+      placement::enumerate_placements(*c.model, *c.fg);
+  ASSERT_FALSE(r.placements.empty());
+  std::string src = annotate(*c.model, r.placements.front());
   EXPECT_NE(src.find("C$SYNCHRONIZE METHOD: assemble-som ON ARRAY: new"),
             std::string::npos);
   EXPECT_NE(src.find("C$ITERATION DOMAIN: OWNED"), std::string::npos);

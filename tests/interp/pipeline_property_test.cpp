@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <string_view>
 
 #include "interp/spmd.hpp"
 #include "lang/corpus.hpp"
 #include "mesh/generators.hpp"
+#include "partition/partition.hpp"
 #include "placement/tool.hpp"
 
 namespace meshpar::interp {
@@ -23,6 +27,17 @@ struct Case {
   partition::Algorithm algo;
   int depth;
 };
+
+// Names a case "s<stages>_<pattern>_p<parts>_<splitter>", the pattern
+// without its "overlap-" prefix. gtest would otherwise print Case's raw
+// bytes, which include uninitialized padding and the pattern pointer, so the
+// test names would change from run to run.
+void PrintTo(const Case& c, std::ostream* os) {
+  std::string_view pattern = c.pattern;
+  if (pattern.starts_with("overlap-")) pattern.remove_prefix(8);
+  *os << "s" << c.stages << "_" << pattern << "_p" << c.parts << "_"
+      << partition::to_string(c.algo);
+}
 
 class PipelineSweep : public ::testing::TestWithParam<Case> {};
 
@@ -37,10 +52,12 @@ TEST_P(PipelineSweep, BestPlacementExecutesToSequentialResult) {
   const Case& c = GetParam();
   placement::ToolOptions opt;
   opt.engine.max_solutions = 512;
-  auto tool = placement::run_tool(lang::synthetic_source(c.stages),
-                                  spec_with_pattern(c.stages, c.pattern),
-                                  opt);
-  ASSERT_TRUE(tool.ok()) << tool.diags.str();
+  placement::Compiled fe = placement::compile_frontend(
+      lang::synthetic_source(c.stages), spec_with_pattern(c.stages, c.pattern));
+  ASSERT_TRUE(fe.ok()) << fe.diags.str();
+  placement::EnumerationResult tool =
+      placement::enumerate_placements(*fe.model, *fe.fg, opt);
+  ASSERT_FALSE(tool.placements.empty());
 
   auto m = mesh::rectangle(9, 8);
   Rng rng(c.stages * 7 + c.parts);
@@ -54,7 +71,7 @@ TEST_P(PipelineSweep, BestPlacementExecutesToSequentialResult) {
   binding.scalars["epsilon"] = 1e-12;
   binding.scalars["maxloop"] = 5;
 
-  RunResult seq = run_sequential(*tool.model, m, binding);
+  RunResult seq = run_sequential(*fe.model, m, binding);
   ASSERT_TRUE(seq.ok) << seq.error;
 
   auto p = partition::partition_nodes(m, c.parts, c.algo);
@@ -65,7 +82,7 @@ TEST_P(PipelineSweep, BestPlacementExecutesToSequentialResult) {
 
   runtime::World w(c.parts);
   RunResult par =
-      run_spmd(w, *tool.model, tool.placements.front(), d, m, binding);
+      run_spmd(w, *fe.model, tool.placements.front(), d, m, binding);
   ASSERT_TRUE(par.ok) << par.error;
 
   const auto& a = seq.node_outputs.at("result");
@@ -94,10 +111,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PipelineDeterminism, SameInputSamePlacements) {
   placement::ToolOptions opt;
   opt.engine.max_solutions = 0;
-  auto r1 = placement::run_tool(lang::testt_source(), lang::testt_spec(), opt);
-  auto r2 = placement::run_tool(lang::testt_source(), lang::testt_spec(), opt);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
+  placement::Compiled fe1 =
+      placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+  placement::Compiled fe2 =
+      placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(fe1.ok()) << fe1.diags.str();
+  ASSERT_TRUE(fe2.ok()) << fe2.diags.str();
+  auto r1 = placement::enumerate_placements(*fe1.model, *fe1.fg, opt);
+  auto r2 = placement::enumerate_placements(*fe2.model, *fe2.fg, opt);
+  ASSERT_FALSE(r1.placements.empty());
+  ASSERT_FALSE(r2.placements.empty());
   ASSERT_EQ(r1.placements.size(), r2.placements.size());
   for (std::size_t i = 0; i < r1.placements.size(); ++i) {
     EXPECT_EQ(r1.placements[i].key(), r2.placements[i].key());
@@ -115,16 +138,19 @@ TEST(PipelineDeterminism, SpmdExecutionIsReproducible) {
   binding.scalars["maxloop"] = 6;
 
   placement::ToolOptions opt;
-  auto tool = placement::run_tool(lang::testt_source(), lang::testt_spec(),
-                                  opt);
-  ASSERT_TRUE(tool.ok());
+  placement::Compiled fe =
+      placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(fe.ok()) << fe.diags.str();
+  placement::EnumerationResult tool =
+      placement::enumerate_placements(*fe.model, *fe.fg, opt);
+  ASSERT_FALSE(tool.placements.empty());
   auto p = partition::partition_nodes(m, 4, partition::Algorithm::kRcb);
   auto d = overlap::decompose_entity_layer(m, p);
 
   std::vector<double> first;
   for (int run = 0; run < 3; ++run) {
     runtime::World w(4);
-    auto res = run_spmd(w, *tool.model, tool.placements.front(), d, m,
+    auto res = run_spmd(w, *fe.model, tool.placements.front(), d, m,
                         binding);
     ASSERT_TRUE(res.ok);
     if (run == 0) {

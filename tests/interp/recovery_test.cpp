@@ -27,28 +27,34 @@ namespace {
 /// flow).
 struct Fixture {
   mesh::Mesh2D m;
-  placement::ToolResult tool;
+  placement::Compiled compiled;
+  placement::EnumerationResult enumerated;
   partition::NodePartition part;
   overlap::Decomposition d;
   MeshBinding binding;
 
   Fixture() {
     m = mesh::rectangle(8, 8);
-    tool = placement::run_tool(lang::testt_source(), lang::testt_spec(), {});
-    EXPECT_TRUE(tool.ok());
+    compiled =
+        placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+    EXPECT_TRUE(compiled.ok()) << compiled.diags.str();
+    enumerated =
+        placement::enumerate_placements(*compiled.model, *compiled.fg);
+    EXPECT_FALSE(enumerated.placements.empty());
     part = partition::partition_nodes(m, 3, partition::Algorithm::kRcb);
-    d = tool.model->autom().pattern() ==
+    d = compiled.model->autom().pattern() ==
                 automaton::PatternKind::kNodeBoundary
             ? overlap::decompose_node_boundary(m, part)
-            : overlap::decompose_entity_layer(m, part,
-                                              tool.model->autom().halo_depth());
-    binding = synthetic_binding(*tool.model, m);
+            : overlap::decompose_entity_layer(
+                  m, part, compiled.model->autom().halo_depth());
+    binding = synthetic_binding(*compiled.model, m);
   }
 
   RecoveryOutcome recover(const runtime::FaultPlan* plan,
                           const RecoveryOptions& opts = {}) const {
-    return run_spmd_recovering(*tool.model, tool.placements.front(), d, m,
-                               binding, plan, opts);
+    return run_spmd_recovering(*compiled.model,
+                               enumerated.placements.front(), d, m, binding,
+                               plan, opts);
   }
 
   /// First campaign fault of `kind` for this fixture's baseline trace.
@@ -56,8 +62,8 @@ struct Fixture {
                                 std::uint64_t seed = 7) const {
     runtime::World w(3);
     StalenessReport rep;
-    RunResult base = run_spmd_sanitized(w, *tool.model,
-                                        tool.placements.front(), d, m,
+    RunResult base = run_spmd_sanitized(w, *compiled.model,
+                                        enumerated.placements.front(), d, m,
                                         binding, &rep);
     EXPECT_TRUE(base.ok) << base.error;
     auto campaign = runtime::make_campaign(w.trace(), seed, 200,
@@ -152,21 +158,21 @@ TEST(Recovery, PoisonedCheckpointIsReplayDivergence) {
   CheckpointStore store(3, /*interval=*/2);
   runtime::World w1(3);
   StalenessReport rep1;
-  RunResult record = run_spmd_checkpointed(w1, *fx.tool.model,
-                                           fx.tool.placements.front(), fx.d,
-                                           fx.m, fx.binding, &rep1, &store);
+  RunResult record = run_spmd_sanitized(w1, *fx.compiled.model,
+                                        fx.enumerated.placements.front(), fx.d,
+                                        fx.m, fx.binding, &rep1, &store);
   ASSERT_TRUE(record.ok) << record.error;
   ASSERT_GE(store.complete_epochs(), 1);
   const long long epoch = store.last_complete_epoch();
-  const std::string var = fx.tool.placements.front().syncs.front().var;
+  const std::string var = fx.enumerated.placements.front().syncs.front().var;
 
   store.poison(epoch, var, /*entity=*/0, /*value=*/1e42);
   store.set_mode(CheckpointStore::Mode::kVerify);
   runtime::World w2(3);
   StalenessReport rep2;
-  RunResult replay = run_spmd_checkpointed(w2, *fx.tool.model,
-                                           fx.tool.placements.front(), fx.d,
-                                           fx.m, fx.binding, &rep2, &store);
+  RunResult replay = run_spmd_sanitized(w2, *fx.compiled.model,
+                                        fx.enumerated.placements.front(), fx.d,
+                                        fx.m, fx.binding, &rep2, &store);
   ASSERT_TRUE(replay.ok) << replay.error;
   auto div = store.divergences();
   ASSERT_FALSE(div.empty());
@@ -178,16 +184,16 @@ TEST(Recovery, CleanReplayReportsNoDivergence) {
   CheckpointStore store(3, /*interval=*/2);
   runtime::World w1(3);
   StalenessReport rep1;
-  RunResult record = run_spmd_checkpointed(w1, *fx.tool.model,
-                                           fx.tool.placements.front(), fx.d,
-                                           fx.m, fx.binding, &rep1, &store);
+  RunResult record = run_spmd_sanitized(w1, *fx.compiled.model,
+                                        fx.enumerated.placements.front(), fx.d,
+                                        fx.m, fx.binding, &rep1, &store);
   ASSERT_TRUE(record.ok) << record.error;
   store.set_mode(CheckpointStore::Mode::kVerify);
   runtime::World w2(3);
   StalenessReport rep2;
-  RunResult replay = run_spmd_checkpointed(w2, *fx.tool.model,
-                                           fx.tool.placements.front(), fx.d,
-                                           fx.m, fx.binding, &rep2, &store);
+  RunResult replay = run_spmd_sanitized(w2, *fx.compiled.model,
+                                        fx.enumerated.placements.front(), fx.d,
+                                        fx.m, fx.binding, &rep2, &store);
   ASSERT_TRUE(replay.ok) << replay.error;
   EXPECT_TRUE(store.divergences().empty());
 }
@@ -196,40 +202,46 @@ TEST(Recovery, CorruptionMatrixEveryFaultClassIsHealed) {
   // The acceptance matrix: a whole seeded campaign over drop, duplicate,
   // delay, corrupt, kill-rank and elide-sync, each run healed and checked
   // against the fault-free baseline. Seed 7 samples all three healers.
-  placement::ToolResult tool =
-      placement::run_tool(lang::testt_source(), lang::testt_spec(), {});
-  ASSERT_TRUE(tool.ok());
+  placement::Compiled c =
+      placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult enumerated =
+      placement::enumerate_placements(*c.model, *c.fg);
+  ASSERT_FALSE(enumerated.placements.empty());
   SoakOptions opts;
   opts.seed = 7;
   opts.faults = 25;
   opts.recover = true;
   SoakReport report;
   std::string error;
-  ASSERT_TRUE(run_soak(*tool.model, tool.placements.front(), opts, &report,
+  ASSERT_TRUE(run_soak(*c.model, enumerated.placements.front(), opts, &report,
                        &error))
       << error;
   EXPECT_TRUE(report.all_healed()) << report.str();
   std::set<std::string> healers;
-  for (const SoakCase& c : report.cases) healers.insert(c.healer);
+  for (const SoakCase& sc : report.cases) healers.insert(sc.healer);
   EXPECT_TRUE(healers.count("transport"));
   EXPECT_TRUE(healers.count("rollback"));
   EXPECT_TRUE(healers.count("shrink"));
 }
 
 TEST(Recovery, RecoveryCampaignReportIsDeterministic) {
-  placement::ToolResult tool =
-      placement::run_tool(lang::testt_source(), lang::testt_spec(), {});
-  ASSERT_TRUE(tool.ok());
+  placement::Compiled c =
+      placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult enumerated =
+      placement::enumerate_placements(*c.model, *c.fg);
+  ASSERT_FALSE(enumerated.placements.empty());
   SoakOptions opts;
   opts.seed = 11;
   opts.faults = 12;
   opts.recover = true;
   SoakReport a, b;
   std::string error;
-  ASSERT_TRUE(run_soak(*tool.model, tool.placements.front(), opts, &a,
+  ASSERT_TRUE(run_soak(*c.model, enumerated.placements.front(), opts, &a,
                        &error))
       << error;
-  ASSERT_TRUE(run_soak(*tool.model, tool.placements.front(), opts, &b,
+  ASSERT_TRUE(run_soak(*c.model, enumerated.placements.front(), opts, &b,
                        &error))
       << error;
   EXPECT_EQ(a.json(), b.json());

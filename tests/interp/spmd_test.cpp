@@ -18,7 +18,8 @@ namespace {
 
 struct Fixture {
   mesh::Mesh2D m;
-  placement::ToolResult tool;
+  placement::Compiled compiled;
+  placement::EnumerationResult enumerated;
   MeshBinding binding;
 
   explicit Fixture(int nx = 8, int ny = 7, double epsilon = 1e-9,
@@ -28,7 +29,11 @@ struct Fixture {
     mesh::jitter(m, rng, 0.15);
     placement::ToolOptions opt;
     opt.engine.max_solutions = 0;
-    tool = placement::run_tool(lang::testt_source(), lang::testt_spec(), opt);
+    compiled =
+        placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+    if (compiled.ok())
+      enumerated =
+          placement::enumerate_placements(*compiled.model, *compiled.fg, opt);
     binding = testt_binding(m);
     std::vector<double> init(m.num_nodes());
     for (int n = 0; n < m.num_nodes(); ++n)
@@ -50,8 +55,9 @@ double max_abs_diff(const std::vector<double>& a,
 
 TEST(SpmdInterp, SequentialInterpretationMatchesNativeSolver) {
   Fixture fx;
-  ASSERT_TRUE(fx.tool.ok());
-  RunResult seq = run_sequential(*fx.tool.model, fx.m, fx.binding);
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
+  RunResult seq = run_sequential(*fx.compiled.model, fx.m, fx.binding);
   ASSERT_TRUE(seq.ok) << seq.error;
 
   solver::TesttParams params{1e-9, 12};
@@ -66,15 +72,17 @@ TEST(SpmdInterp, SequentialInterpretationMatchesNativeSolver) {
 
 TEST(SpmdInterp, BestPlacementMatchesSequential) {
   Fixture fx;
-  ASSERT_TRUE(fx.tool.ok());
-  RunResult seq = run_sequential(*fx.tool.model, fx.m, fx.binding);
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
+  RunResult seq = run_sequential(*fx.compiled.model, fx.m, fx.binding);
   ASSERT_TRUE(seq.ok) << seq.error;
 
   auto p = partition::partition_nodes(fx.m, 4, partition::Algorithm::kRcb);
   auto d = overlap::decompose_entity_layer(fx.m, p);
   runtime::World w(4);
-  RunResult par = run_spmd(w, *fx.tool.model, fx.tool.placements.front(), d,
-                           fx.m, fx.binding);
+  RunResult par = run_spmd(w, *fx.compiled.model,
+                           fx.enumerated.placements.front(), d, fx.m,
+                           fx.binding);
   ASSERT_TRUE(par.ok) << par.error;
   EXPECT_LT(max_abs_diff(par.node_outputs.at("result"),
                          seq.node_outputs.at("result")),
@@ -86,19 +94,20 @@ TEST(SpmdInterp, EveryEnumeratedPlacementIsCorrect) {
   // The property behind §4: all (M_n, M_a) solutions are valid SPMD
   // programs. Execute each distinct placement and compare.
   Fixture fx(7, 6, /*epsilon=*/1e-9, /*maxloop=*/8);
-  ASSERT_TRUE(fx.tool.ok());
-  RunResult seq = run_sequential(*fx.tool.model, fx.m, fx.binding);
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
+  RunResult seq = run_sequential(*fx.compiled.model, fx.m, fx.binding);
   ASSERT_TRUE(seq.ok) << seq.error;
 
   auto p = partition::partition_nodes(fx.m, 3, partition::Algorithm::kRcb);
   auto d = overlap::decompose_entity_layer(fx.m, p);
   ASSERT_TRUE(overlap::validate(fx.m, d).empty());
 
-  ASSERT_GT(fx.tool.placements.size(), 10u);
-  for (const auto& placement : fx.tool.placements) {
+  ASSERT_GT(fx.enumerated.placements.size(), 10u);
+  for (const auto& placement : fx.enumerated.placements) {
     runtime::World w(3);
     RunResult par =
-        run_spmd(w, *fx.tool.model, placement, d, fx.m, fx.binding);
+        run_spmd(w, *fx.compiled.model, placement, d, fx.m, fx.binding);
     ASSERT_TRUE(par.ok) << par.error;
     EXPECT_LT(max_abs_diff(par.node_outputs.at("result"),
                            seq.node_outputs.at("result")),
@@ -115,17 +124,21 @@ TEST(SpmdInterp, NodeBoundaryPatternPlacementsAreCorrect) {
                "overlap-node-boundary");
   placement::ToolOptions opt;
   opt.engine.max_solutions = 0;
-  auto tool = placement::run_tool(lang::testt_source(), spec, opt);
-  ASSERT_TRUE(tool.ok()) << tool.diags.str();
+  placement::Compiled c =
+      placement::compile_frontend(lang::testt_source(), spec);
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult tool =
+      placement::enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(tool.placements.empty());
 
-  RunResult seq = run_sequential(*tool.model, fx.m, fx.binding);
+  RunResult seq = run_sequential(*c.model, fx.m, fx.binding);
   ASSERT_TRUE(seq.ok) << seq.error;
 
   auto p = partition::partition_nodes(fx.m, 4, partition::Algorithm::kRcb);
   auto d = overlap::decompose_node_boundary(fx.m, p);
   for (const auto& placement : tool.placements) {
     runtime::World w(4);
-    RunResult par = run_spmd(w, *tool.model, placement, d, fx.m, fx.binding);
+    RunResult par = run_spmd(w, *c.model, placement, d, fx.m, fx.binding);
     ASSERT_TRUE(par.ok) << par.error;
     EXPECT_LT(max_abs_diff(par.node_outputs.at("result"),
                            seq.node_outputs.at("result")),
@@ -142,9 +155,12 @@ TEST(SpmdInterp, SyntheticTwoStageUnderDeepHalo) {
                     "overlap-triangle-layer-2");
   placement::ToolOptions opt;
   opt.engine.max_solutions = 4096;
-  auto tool =
-      placement::run_tool(lang::synthetic_source(2), deep_spec, opt);
-  ASSERT_TRUE(tool.ok()) << tool.diags.str();
+  placement::Compiled c =
+      placement::compile_frontend(lang::synthetic_source(2), deep_spec);
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  placement::EnumerationResult tool =
+      placement::enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(tool.placements.empty());
 
   auto m = mesh::rectangle(8, 8);
   MeshBinding binding = testt_binding(m);
@@ -154,7 +170,7 @@ TEST(SpmdInterp, SyntheticTwoStageUnderDeepHalo) {
   binding.scalars["epsilon"] = 1e-12;
   binding.scalars["maxloop"] = 6;
 
-  RunResult seq = run_sequential(*tool.model, m, binding);
+  RunResult seq = run_sequential(*c.model, m, binding);
   ASSERT_TRUE(seq.ok) << seq.error;
 
   auto p = partition::partition_nodes(m, 3, partition::Algorithm::kRcb);
@@ -164,7 +180,7 @@ TEST(SpmdInterp, SyntheticTwoStageUnderDeepHalo) {
   // Use the cheapest placement (one in-cycle update).
   runtime::World w(3);
   RunResult par =
-      run_spmd(w, *tool.model, tool.placements.front(), d, m, binding);
+      run_spmd(w, *c.model, tool.placements.front(), d, m, binding);
   ASSERT_TRUE(par.ok) << par.error;
   EXPECT_LT(max_abs_diff(par.node_outputs.at("result"),
                          seq.node_outputs.at("result")),
@@ -176,14 +192,15 @@ TEST(SpmdSanitizer, EveryEnumeratedPlacementRunsClean) {
   // produced — every overlap read is covered by a communication or by a
   // domain restriction.
   Fixture fx(7, 6, 1e-9, 8);
-  ASSERT_TRUE(fx.tool.ok());
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
   auto p = partition::partition_nodes(fx.m, 3, partition::Algorithm::kRcb);
   auto d = overlap::decompose_entity_layer(fx.m, p);
-  for (const auto& placement : fx.tool.placements) {
+  for (const auto& placement : fx.enumerated.placements) {
     runtime::World w(3);
     StalenessReport report;
-    RunResult par = run_spmd_sanitized(w, *fx.tool.model, placement, d, fx.m,
-                                       fx.binding, &report);
+    RunResult par = run_spmd_sanitized(w, *fx.compiled.model, placement, d,
+                                       fx.m, fx.binding, &report);
     ASSERT_TRUE(par.ok) << par.error;
     EXPECT_TRUE(report.clean())
         << "placement key " << placement.key() << ": "
@@ -196,8 +213,9 @@ TEST(SpmdSanitizer, SuppressedExchangeTriggersStaleReadFinding) {
   // ranks now read stale overlap copies, and the sanitizer must say which
   // statement read which variable.
   Fixture fx(7, 6, 1e-9, 8);
-  ASSERT_TRUE(fx.tool.ok());
-  placement::Placement crippled = fx.tool.placements.front();
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
+  placement::Placement crippled = fx.enumerated.placements.front();
   auto it = crippled.syncs.begin();
   while (it != crippled.syncs.end() &&
          it->action != automaton::CommAction::kUpdateCopy)
@@ -210,7 +228,7 @@ TEST(SpmdSanitizer, SuppressedExchangeTriggersStaleReadFinding) {
   auto d = overlap::decompose_entity_layer(fx.m, p);
   runtime::World w(3);
   StalenessReport report;
-  RunResult par = run_spmd_sanitized(w, *fx.tool.model, crippled, d, fx.m,
+  RunResult par = run_spmd_sanitized(w, *fx.compiled.model, crippled, d, fx.m,
                                      fx.binding, &report);
   ASSERT_TRUE(par.ok) << par.error;
   ASSERT_FALSE(report.clean());
@@ -224,8 +242,9 @@ TEST(SpmdSanitizer, SuppressedExchangeTriggersStaleReadFinding) {
 
 TEST(SpmdSanitizer, FindingsAreDeterministicAcrossRuns) {
   Fixture fx(7, 6, 1e-9, 8);
-  ASSERT_TRUE(fx.tool.ok());
-  placement::Placement crippled = fx.tool.placements.front();
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
+  placement::Placement crippled = fx.enumerated.placements.front();
   auto it = crippled.syncs.begin();
   while (it != crippled.syncs.end() &&
          it->action != automaton::CommAction::kUpdateCopy)
@@ -238,7 +257,7 @@ TEST(SpmdSanitizer, FindingsAreDeterministicAcrossRuns) {
   auto run_once = [&] {
     runtime::World w(3);
     StalenessReport report;
-    run_spmd_sanitized(w, *fx.tool.model, crippled, d, fx.m, fx.binding,
+    run_spmd_sanitized(w, *fx.compiled.model, crippled, d, fx.m, fx.binding,
                        &report);
     std::vector<std::string> msgs;
     for (const auto& f : report.findings)
@@ -255,15 +274,16 @@ TEST(SpmdInterp, PlacementCountersDifferAsRanked) {
   // The cheaper of two placements (per the cost model) should not send more
   // in-cycle messages than the expensive one.
   Fixture fx(8, 8, 0.0, 10);  // fixed 10 steps
-  ASSERT_TRUE(fx.tool.ok());
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
   auto p = partition::partition_nodes(fx.m, 4, partition::Algorithm::kRcb);
   auto d = overlap::decompose_entity_layer(fx.m, p);
 
   runtime::World w_best(4), w_worst(4);
-  run_spmd(w_best, *fx.tool.model, fx.tool.placements.front(), d, fx.m,
-           fx.binding);
-  run_spmd(w_worst, *fx.tool.model, fx.tool.placements.back(), d, fx.m,
-           fx.binding);
+  run_spmd(w_best, *fx.compiled.model, fx.enumerated.placements.front(), d,
+           fx.m, fx.binding);
+  run_spmd(w_worst, *fx.compiled.model, fx.enumerated.placements.back(), d,
+           fx.m, fx.binding);
   EXPECT_LE(w_best.total_msgs(), w_worst.total_msgs());
 }
 
@@ -272,7 +292,8 @@ TEST(SpmdFaults, ElidedSyncIsCaughtByStalenessSanitizer) {
   // the dynamic equivalent of the placement tool forgetting a
   // communication. The sanitizer must flag the resulting stale read.
   Fixture fx(7, 6, 1e-9, 8);
-  ASSERT_TRUE(fx.tool.ok());
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
   auto p = partition::partition_nodes(fx.m, 3, partition::Algorithm::kRcb);
   auto d = overlap::decompose_entity_layer(fx.m, p);
 
@@ -284,8 +305,8 @@ TEST(SpmdFaults, ElidedSyncIsCaughtByStalenessSanitizer) {
   wopts.faults = &plan;
   runtime::World w(3, wopts);
   StalenessReport report;
-  RunResult par = run_spmd_sanitized(w, *fx.tool.model,
-                                     fx.tool.placements.front(), d, fx.m,
+  RunResult par = run_spmd_sanitized(w, *fx.compiled.model,
+                                     fx.enumerated.placements.front(), d, fx.m,
                                      fx.binding, &report);
   ASSERT_TRUE(par.ok) << par.error;
   ASSERT_FALSE(report.clean());
@@ -297,7 +318,8 @@ TEST(SpmdFaults, KilledRankSurfacesStructuredFailure) {
   // kill (MP-R004) and the deadlock it strands the other ranks in — not as
   // a hang or a std::terminate.
   Fixture fx(7, 6, 1e-9, 8);
-  ASSERT_TRUE(fx.tool.ok());
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
   auto p = partition::partition_nodes(fx.m, 3, partition::Algorithm::kRcb);
   auto d = overlap::decompose_entity_layer(fx.m, p);
 
@@ -309,8 +331,9 @@ TEST(SpmdFaults, KilledRankSurfacesStructuredFailure) {
   runtime::WorldOptions wopts;
   wopts.faults = &plan;
   runtime::World w(3, wopts);
-  RunResult par = run_spmd(w, *fx.tool.model, fx.tool.placements.front(), d,
-                           fx.m, fx.binding);
+  RunResult par = run_spmd(w, *fx.compiled.model,
+                           fx.enumerated.placements.front(), d, fx.m,
+                           fx.binding);
   EXPECT_FALSE(par.ok);
   ASSERT_TRUE(par.failure.has_value());
   EXPECT_EQ(par.failure->code(), "MP-R004");
@@ -324,12 +347,14 @@ TEST(SpmdFaults, KilledRankSurfacesStructuredFailure) {
 
 TEST(SpmdFaults, BaselineRunCountsSyncExecutions) {
   Fixture fx(7, 6, 1e-9, 8);
-  ASSERT_TRUE(fx.tool.ok());
+  ASSERT_TRUE(fx.compiled.ok()) << fx.compiled.diags.str();
+  ASSERT_FALSE(fx.enumerated.placements.empty());
   auto p = partition::partition_nodes(fx.m, 3, partition::Algorithm::kRcb);
   auto d = overlap::decompose_entity_layer(fx.m, p);
   runtime::World w(3);
-  RunResult par = run_spmd(w, *fx.tool.model, fx.tool.placements.front(), d,
-                           fx.m, fx.binding);
+  RunResult par = run_spmd(w, *fx.compiled.model,
+                           fx.enumerated.placements.front(), d, fx.m,
+                           fx.binding);
   ASSERT_TRUE(par.ok) << par.error;
   // One overlap update per convergence iteration; the run converges after
   // at least one iteration, so the kElideSync ordinal space is non-empty.

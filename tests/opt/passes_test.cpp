@@ -24,18 +24,35 @@ namespace {
 using automaton::CommAction;
 using placement::Placement;
 using placement::SyncPoint;
-using placement::ToolResult;
 
-const ToolResult& testt_tool() {
-  static ToolResult r =
-      placement::run_tool(lang::testt_source(), lang::testt_spec());
-  return r;
+const placement::Compiled& testt() {
+  static const placement::Compiled c =
+      placement::compile_frontend(lang::testt_source(), lang::testt_spec());
+  return c;
 }
 
-const ToolResult& coupled_tool() {
-  static ToolResult r =
-      placement::run_tool(lang::coupled_source(), lang::coupled_spec());
-  return r;
+/// The default enumeration over testt(); empty if its front end failed.
+const placement::EnumerationResult& testt_placements() {
+  static const placement::EnumerationResult e =
+      testt().ok()
+          ? placement::enumerate_placements(*testt().model, *testt().fg)
+          : placement::EnumerationResult{};
+  return e;
+}
+
+const placement::Compiled& coupled() {
+  static const placement::Compiled c =
+      placement::compile_frontend(lang::coupled_source(), lang::coupled_spec());
+  return c;
+}
+
+/// The default enumeration over coupled(); empty if its front end failed.
+const placement::EnumerationResult& coupled_placements() {
+  static const placement::EnumerationResult e =
+      coupled().ok()
+          ? placement::enumerate_placements(*coupled().model, *coupled().fg)
+          : placement::EnumerationResult{};
+  return e;
 }
 
 /// First sync with the given action (the tests corrupt copies of it).
@@ -77,42 +94,46 @@ const lang::Stmt* testt_preheader(const placement::ProgramModel& model) {
 }
 
 TEST(OptPasses, DeadSyncIsErasedExactly) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   const Placement& orig = r.placements.front();
   Placement bad = orig;
   SyncPoint dead = first_sync(orig, CommAction::kUpdateCopy);
-  dead.before = killer_loop(*r.model, dead.var);
+  dead.before = killer_loop(*c.model, dead.var);
   ASSERT_NE(dead.before, nullptr);
   bad.syncs.push_back(dead);
 
   // The audit pinpoints the injected sync and only it.
-  const analysis::SyncAudit audit = analysis::audit_syncs(*r.model, bad);
+  const analysis::SyncAudit audit = analysis::audit_syncs(*c.model, bad);
   ASSERT_EQ(audit.judgments.size(), bad.syncs.size());
   EXPECT_EQ(audit.judgments.back(), analysis::SyncJudgment::kDead);
   for (std::size_t i = 0; i + 1 < audit.judgments.size(); ++i)
     EXPECT_EQ(audit.judgments[i], analysis::SyncJudgment::kNeeded) << i;
 
-  const PassResult res = eliminate_dead_comms(*r.model, bad);
+  const PassResult res = eliminate_dead_comms(*c.model, bad);
   EXPECT_EQ(res.removed, 1u);
   EXPECT_EQ(bad.key(), orig.key()) << "only the injected sync may go";
-  EXPECT_TRUE(analysis::lint_placement(*r.model, bad).clean());
+  EXPECT_TRUE(analysis::lint_placement(*c.model, bad).clean());
 }
 
 TEST(OptPasses, CoalesceMergesDuplicateUpdatePair) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   const Placement& orig = r.placements.front();
   Placement bad = orig;
   bad.syncs.push_back(first_sync(orig, CommAction::kUpdateCopy));
 
-  const analysis::SyncAudit audit = analysis::audit_syncs(*r.model, bad);
+  const analysis::SyncAudit audit = analysis::audit_syncs(*c.model, bad);
   EXPECT_EQ(audit.judgments.back(), analysis::SyncJudgment::kRedundant);
 
-  const PassResult res = coalesce_redundant_syncs(*r.model, bad);
+  const PassResult res = coalesce_redundant_syncs(*c.model, bad);
   EXPECT_EQ(res.removed, 1u);
   EXPECT_EQ(bad.key(), orig.key());
-  EXPECT_TRUE(analysis::lint_placement(*r.model, bad).clean());
+  EXPECT_TRUE(analysis::lint_placement(*c.model, bad).clean());
 }
 
 TEST(OptPasses, CoalesceRefusesAssemblies) {
@@ -120,27 +141,31 @@ TEST(OptPasses, CoalesceRefusesAssemblies) {
   // MP-L004 by the lint pass, but erasing it would drop one round of
   // partial sums — assembly is not idempotent. The coalescer must leave it
   // in place.
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   SyncPoint assembly = first_sync(bad, CommAction::kUpdateCopy);
   assembly.action = CommAction::kAssembleAdd;
   bad.syncs.push_back(assembly);
-  ASSERT_EQ(analysis::audit_syncs(*r.model, bad).judgments.back(),
+  ASSERT_EQ(analysis::audit_syncs(*c.model, bad).judgments.back(),
             analysis::SyncJudgment::kRedundant);
   const std::size_t before = bad.syncs.size();
 
-  const PassResult res = coalesce_redundant_syncs(*r.model, bad);
+  const PassResult res = coalesce_redundant_syncs(*c.model, bad);
   EXPECT_EQ(res.removed, 0u);
   EXPECT_EQ(bad.syncs.size(), before);
 }
 
 TEST(OptPasses, HoistMovesLoopInvariantUpdateToPreheader) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
-  const lang::Stmt* header = r.model->cfg().labeled(100);
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
+  const lang::Stmt* header = c.model->cfg().labeled(100);
   ASSERT_NE(header, nullptr);
-  const lang::Stmt* pre = testt_preheader(*r.model);
+  const lang::Stmt* pre = testt_preheader(*c.model);
   ASSERT_NE(pre, nullptr);
 
   // 'airesom' is a coherent input, never written: an update of it inside
@@ -154,7 +179,7 @@ TEST(OptPasses, HoistMovesLoopInvariantUpdateToPreheader) {
   inv.in_cycle = true;
   bad.syncs.push_back(inv);
 
-  const PassResult res = hoist_invariant_syncs(*r.model, bad);
+  const PassResult res = hoist_invariant_syncs(*c.model, bad);
   EXPECT_EQ(res.hoisted, 1u);
   ASSERT_EQ(bad.syncs.size(), originals + 1);
   const SyncPoint& hoisted = bad.syncs.back();
@@ -169,9 +194,11 @@ TEST(OptPasses, HoistMovesLoopInvariantUpdateToPreheader) {
 }
 
 TEST(OptPasses, HoistRefusesVariablesWrittenInsideTheCycle) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
-  const lang::Stmt* header = r.model->cfg().labeled(100);
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
+  const lang::Stmt* header = c.model->cfg().labeled(100);
   ASSERT_NE(header, nullptr);
 
   // 'old' is rewritten every iteration (old := new): its exchanged values
@@ -184,22 +211,24 @@ TEST(OptPasses, HoistRefusesVariablesWrittenInsideTheCycle) {
   sp.in_cycle = true;
   bad.syncs.push_back(sp);
 
-  const PassResult res = hoist_invariant_syncs(*r.model, bad);
+  const PassResult res = hoist_invariant_syncs(*c.model, bad);
   EXPECT_EQ(res.hoisted, 0u);
   EXPECT_EQ(bad.syncs.back().before, header);
   EXPECT_TRUE(bad.syncs.back().in_cycle);
 }
 
 TEST(OptPasses, VectorizeFusesCoupledSamePointUpdates) {
-  const ToolResult& r = coupled_tool();
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  const placement::Compiled& c = coupled();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = coupled_placements();
+  ASSERT_FALSE(r.placements.empty());
   const Placement& orig = r.placements.front();
   Placement p = orig;
-  const overlap::Decomposition d = placement::example_decomposition(*r.model);
+  const overlap::Decomposition d = placement::example_decomposition(*c.model);
   const placement::CostReport before =
-      placement::simulate_cost(*r.model, p, d);
+      placement::simulate_cost(*c.model, p, d);
 
-  const PassResult res = vectorize_messages(*r.model, p);
+  const PassResult res = vectorize_messages(*c.model, p);
   EXPECT_EQ(res.fused, 2u) << "coupled updates ru and rv at one point";
 
   std::vector<std::string> fused_vars;
@@ -216,7 +245,7 @@ TEST(OptPasses, VectorizeFusesCoupledSamePointUpdates) {
   EXPECT_EQ(p.key(), orig.key());
   // ...but one exchange's messages are saved; payload volume is not.
   const placement::CostReport after =
-      placement::simulate_cost(*r.model, p, d);
+      placement::simulate_cost(*c.model, p, d);
   EXPECT_EQ(after.messages, before.messages - d.exchange_messages());
   EXPECT_EQ(after.bytes, before.bytes);
   EXPECT_EQ(after.syncs, before.syncs);
@@ -225,21 +254,25 @@ TEST(OptPasses, VectorizeFusesCoupledSamePointUpdates) {
 TEST(OptPasses, VectorizeRefusesDuplicateVariables) {
   // Two same-variable updates at one point cannot ride one message (the
   // payload would be shipped twice); only distinct variables fuse.
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement p = r.placements.front();
   p.syncs.push_back(first_sync(p, CommAction::kUpdateCopy));
 
-  const PassResult res = vectorize_messages(*r.model, p);
+  const PassResult res = vectorize_messages(*c.model, p);
   EXPECT_EQ(res.fused, 0u);
   for (const SyncPoint& sp : p.syncs) EXPECT_LT(sp.fuse_group, 0);
 }
 
 TEST(OptProof, PipelineCertifiesCoupledWithFewerMessages) {
-  const ToolResult& r = coupled_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = coupled();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = coupled_placements();
+  ASSERT_FALSE(r.placements.empty());
   const OptimizeReport rep =
-      optimize_placement(*r.model, *r.fg, r.placements.front());
+      optimize_placement(*c.model, *c.fg, r.placements.front());
   EXPECT_TRUE(rep.ok());
   EXPECT_TRUE(rep.verify_ok);
   EXPECT_TRUE(rep.lint_clean);
@@ -266,10 +299,12 @@ TEST(OptProof, PipelineCertifiesCoupledWithFewerMessages) {
 TEST(OptProof, PipelineIsIdentityOnCleanTestt) {
   // testt's best placement has nothing to remove, hoist or fuse: the
   // pipeline must certify it unchanged.
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   const OptimizeReport rep =
-      optimize_placement(*r.model, *r.fg, r.placements.front());
+      optimize_placement(*c.model, *c.fg, r.placements.front());
   EXPECT_TRUE(rep.ok());
   EXPECT_EQ(rep.removed(), 0u);
   EXPECT_EQ(rep.hoisted(), 0u);
@@ -286,15 +321,17 @@ TEST(OptProof, PipelineHealsTheFullCorruptionMatrix) {
   // placement, and still discharge the full certificate (the corrupted
   // placement computes the same values — extra updates only rewrite bytes
   // that are already coherent — so the dynamic proof compares equal).
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   const Placement& orig = r.placements.front();
-  const lang::Stmt* header = r.model->cfg().labeled(100);
+  const lang::Stmt* header = c.model->cfg().labeled(100);
   ASSERT_NE(header, nullptr);
 
   Placement bad = orig;
   SyncPoint dead = first_sync(orig, CommAction::kUpdateCopy);
-  dead.before = killer_loop(*r.model, dead.var);
+  dead.before = killer_loop(*c.model, dead.var);
   ASSERT_NE(dead.before, nullptr);
   bad.syncs.push_back(dead);
   bad.syncs.push_back(first_sync(orig, CommAction::kUpdateCopy));
@@ -305,7 +342,7 @@ TEST(OptProof, PipelineHealsTheFullCorruptionMatrix) {
   inv.in_cycle = true;
   bad.syncs.push_back(inv);
 
-  const OptimizeReport rep = optimize_placement(*r.model, *r.fg, bad);
+  const OptimizeReport rep = optimize_placement(*c.model, *c.fg, bad);
   EXPECT_TRUE(rep.ok());
   EXPECT_EQ(rep.removed(), 3u);
   EXPECT_EQ(rep.optimized.key(), orig.key());
@@ -317,15 +354,17 @@ TEST(OptProof, PipelineRefusesToCertifyAnUnfixableAssembly) {
   // A redundant assembly cannot be removed (not idempotent), so its
   // MP-L004 finding survives every pass: the pipeline must keep the sync
   // AND report the placement uncertified rather than paper over it.
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const placement::Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const placement::EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   SyncPoint assembly = first_sync(bad, CommAction::kUpdateCopy);
   assembly.action = CommAction::kAssembleAdd;
   bad.syncs.push_back(assembly);
   const std::size_t syncs_before = bad.syncs.size();
 
-  const OptimizeReport rep = optimize_placement(*r.model, *r.fg, bad);
+  const OptimizeReport rep = optimize_placement(*c.model, *c.fg, bad);
   EXPECT_EQ(rep.optimized.syncs.size(), syncs_before);
   EXPECT_FALSE(rep.lint_clean);
   EXPECT_FALSE(rep.ok());

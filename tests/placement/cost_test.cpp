@@ -40,21 +40,25 @@ std::pair<long long, long long> expected_traffic(
 }
 
 TEST(Cost, ExampleDecompositionIsValidAndMatchesVerifySetup) {
-  ToolResult r = run_tool(lang::testt_source(), lang::testt_spec());
-  ASSERT_TRUE(r.ok());
+  Compiled fe = compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(fe.ok()) << fe.diags.str();
+  EnumerationResult r = enumerate_placements(*fe.model, *fe.fg);
+  ASSERT_FALSE(r.placements.empty());
   mesh::Mesh2D m;
-  overlap::Decomposition d = example_decomposition(*r.model, &m);
+  overlap::Decomposition d = example_decomposition(*fe.model, &m);
   EXPECT_EQ(d.parts(), 3);
   EXPECT_EQ(m.num_nodes(), 121);  // the 10x10 rectangle of `verify --dynamic`
   EXPECT_EQ(overlap::validate(m, d), "");
 }
 
 TEST(Cost, SimulateCostMatchesScheduleArithmetic) {
-  ToolResult r = run_tool(lang::testt_source(), lang::testt_spec());
-  ASSERT_TRUE(r.ok());
-  overlap::Decomposition d = example_decomposition(*r.model);
+  Compiled fe = compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(fe.ok()) << fe.diags.str();
+  EnumerationResult r = enumerate_placements(*fe.model, *fe.fg);
+  ASSERT_FALSE(r.placements.empty());
+  overlap::Decomposition d = example_decomposition(*fe.model);
   for (const Placement& p : r.placements) {
-    CostReport c = simulate_cost(*r.model, p, d);
+    CostReport c = simulate_cost(*fe.model, p, d);
     auto [msgs, doubles] = expected_traffic(p, d);
     EXPECT_EQ(c.messages, msgs);
     EXPECT_EQ(c.bytes, doubles * 8);
@@ -77,12 +81,14 @@ TEST(Cost, CheaperRankedPlacementNeverCostsMoreMessages) {
   // The engine ranks by abstract cost; grounding the ranking in simulated
   // traffic must not invert it for the paper's example: placement #0 (the
   // emitted one) moves no more messages per sweep than any other.
-  ToolResult r = run_tool(lang::testt_source(), lang::testt_spec());
-  ASSERT_TRUE(r.ok());
-  overlap::Decomposition d = example_decomposition(*r.model);
-  CostReport best = simulate_cost(*r.model, r.placements[0], d);
+  Compiled fe = compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(fe.ok()) << fe.diags.str();
+  EnumerationResult r = enumerate_placements(*fe.model, *fe.fg);
+  ASSERT_FALSE(r.placements.empty());
+  overlap::Decomposition d = example_decomposition(*fe.model);
+  CostReport best = simulate_cost(*fe.model, r.placements[0], d);
   for (std::size_t i = 1; i < r.placements.size(); ++i) {
-    CostReport c = simulate_cost(*r.model, r.placements[i], d);
+    CostReport c = simulate_cost(*fe.model, r.placements[i], d);
     EXPECT_LE(best.messages, c.messages) << "placement #" << i;
   }
 }
@@ -105,17 +111,19 @@ TEST(Cost, PerEdgeTrafficMatchesOverlapSchedule) {
   // per-sync edge deltas (what the interpreter attributed), and the
   // runtime's edge counters (what was actually sent). Sync-attributed
   // traffic must equal executions x schedule exactly, per directed edge.
-  ToolResult r = run_tool(lang::testt_source(), lang::testt_spec());
-  ASSERT_TRUE(r.ok());
+  Compiled fe = compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(fe.ok()) << fe.diags.str();
+  EnumerationResult r = enumerate_placements(*fe.model, *fe.fg);
+  ASSERT_FALSE(r.placements.empty());
   mesh::Mesh2D m;
-  overlap::Decomposition d = example_decomposition(*r.model, &m);
-  interp::MeshBinding binding = interp::synthetic_binding(*r.model, m);
+  overlap::Decomposition d = example_decomposition(*fe.model, &m);
+  interp::MeshBinding binding = interp::synthetic_binding(*fe.model, m);
 
   trace::Tracer tracer;
   trace::ScopedInstall guard(&tracer);
   runtime::World world(d.parts());  // edge metrics forced on by the tracer
   interp::RunResult run =
-      interp::run_spmd(world, *r.model, r.placements[0], d, m, binding);
+      interp::run_spmd(world, *fe.model, r.placements[0], d, m, binding);
   ASSERT_TRUE(run.ok) << run.error;
 
   // Per-rank sync executions and per-edge sync-attributed sends, from the
@@ -191,14 +199,16 @@ TEST(Cost, PerEdgeTrafficMatchesOverlapSchedule) {
 TEST(Cost, EdgeMetricsAreOffByDefault) {
   // Without a tracer and without edge_metrics the runtime must not pay for
   // (or populate) per-edge accounting.
-  ToolResult r = run_tool(lang::testt_source(), lang::testt_spec());
-  ASSERT_TRUE(r.ok());
+  Compiled fe = compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(fe.ok()) << fe.diags.str();
+  EnumerationResult r = enumerate_placements(*fe.model, *fe.fg);
+  ASSERT_FALSE(r.placements.empty());
   mesh::Mesh2D m;
-  overlap::Decomposition d = example_decomposition(*r.model, &m);
-  interp::MeshBinding binding = interp::synthetic_binding(*r.model, m);
+  overlap::Decomposition d = example_decomposition(*fe.model, &m);
+  interp::MeshBinding binding = interp::synthetic_binding(*fe.model, m);
   runtime::World world(d.parts());
   interp::RunResult run =
-      interp::run_spmd(world, *r.model, r.placements[0], d, m, binding);
+      interp::run_spmd(world, *fe.model, r.placements[0], d, m, binding);
   ASSERT_TRUE(run.ok) << run.error;
   EXPECT_TRUE(world.edge_traffic().empty());
 }

@@ -34,8 +34,10 @@ TEST(Coupled, AnalysisRecognizesBothFields) {
 TEST(Coupled, BestPlacementSynchronizesBothFieldsAndBothResiduals) {
   ToolOptions opt;
   opt.engine.max_solutions = 2048;
-  auto r = run_tool(lang::coupled_source(), lang::coupled_spec(), opt);
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  Compiled c = compile_frontend(lang::coupled_source(), lang::coupled_spec());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(r.placements.empty());
   const Placement& best = r.placements.front();
   bool ru_sync = false, rv_sync = false, resu_sync = false, resv_sync = false;
   for (const auto& s : best.syncs) {
@@ -53,8 +55,10 @@ TEST(Coupled, BestPlacementSynchronizesBothFieldsAndBothResiduals) {
 TEST(Coupled, SpmdExecutionMatchesSequential) {
   ToolOptions opt;
   opt.engine.max_solutions = 512;
-  auto tool = run_tool(lang::coupled_source(), lang::coupled_spec(), opt);
-  ASSERT_TRUE(tool.ok()) << tool.diags.str();
+  Compiled c = compile_frontend(lang::coupled_source(), lang::coupled_spec());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult tool = enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(tool.placements.empty());
 
   auto m = mesh::rectangle(9, 8);
   Rng rng(3);
@@ -71,7 +75,7 @@ TEST(Coupled, SpmdExecutionMatchesSequential) {
   binding.scalars["epsv"] = 1e-10;
   binding.scalars["maxloop"] = 9;
 
-  auto seq = interp::run_sequential(*tool.model, m, binding);
+  auto seq = interp::run_sequential(*c.model, m, binding);
   ASSERT_TRUE(seq.ok) << seq.error;
 
   auto p = partition::partition_nodes(m, 4, partition::Algorithm::kRcb);
@@ -81,13 +85,13 @@ TEST(Coupled, SpmdExecutionMatchesSequential) {
   for (std::size_t i = 0; i < count; ++i) {
     // Static verification first: every placement we are about to execute
     // must pass the independent checker.
-    VerifyReport rep = verify_placement(*tool.model, *tool.fg,
+    VerifyReport rep = verify_placement(*c.model, *c.fg,
                                         tool.placements[i]);
     EXPECT_TRUE(rep.findings.empty())
         << "placement #" << i << ": " << rep.findings.front().message;
     runtime::World w(4);
     interp::StalenessReport stale;
-    auto par = interp::run_spmd_sanitized(w, *tool.model, tool.placements[i],
+    auto par = interp::run_spmd_sanitized(w, *c.model, tool.placements[i],
                                           d, m, binding, &stale);
     ASSERT_TRUE(par.ok) << par.error;
     EXPECT_TRUE(stale.clean())
@@ -109,8 +113,10 @@ TEST(Coupled, NestedIfPredicatesForceReplicatedResiduals) {
   // statement executes — on a path all ranks take identically.
   ToolOptions opt;
   opt.engine.max_solutions = 512;
-  auto r = run_tool(lang::coupled_source(), lang::coupled_spec(), opt);
-  ASSERT_TRUE(r.ok());
+  Compiled c = compile_frontend(lang::coupled_source(), lang::coupled_spec());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(r.placements.empty());
   for (const auto& p : r.placements) {
     bool resv_reduced = false;
     for (const auto& s : p.syncs)

@@ -8,8 +8,7 @@
 //     truncated to k, byte-identically, for every jobs value, while the
 //     peak number of simultaneously retained placements stays within
 //     (jobs + 1) * k;
-//   * the MaterializeCache produces byte-identical placements to the
-//     uncached path and reports the failure reason.
+//   * the MaterializeCache reports the failure reason.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -251,17 +250,18 @@ TEST(KBest, PeakRetentionIsBoundedByJobsTimesK) {
 }
 
 TEST(KBest, ToolPipelineUsesKBestRanking) {
+  Compiled c = compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
   ToolOptions legacy;
   legacy.engine.max_solutions = 0;
-  ToolResult want = run_tool(lang::testt_source(), lang::testt_spec(), legacy);
-  ASSERT_TRUE(want.ok());
+  EnumerationResult want = enumerate_placements(*c.model, *c.fg, legacy);
+  ASSERT_FALSE(want.placements.empty());
 
   ToolOptions opt;
   opt.k_best = true;
   opt.engine.max_solutions = 4;
   opt.engine.jobs = 2;
-  ToolResult got = run_tool(lang::testt_source(), lang::testt_spec(), opt);
-  ASSERT_TRUE(got.ok());
+  EnumerationResult got = enumerate_placements(*c.model, *c.fg, opt);
   ASSERT_EQ(got.placements.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(got.placements[i].key(), want.placements[i].key());
@@ -273,30 +273,6 @@ TEST(KBest, ToolPipelineUsesKBestRanking) {
 // ---------------------------------------------------------------------------
 // MaterializeCache.
 // ---------------------------------------------------------------------------
-
-TEST(MaterializeCache, MatchesUncachedMaterialize) {
-  Built b = build(lang::testt_source(), lang::testt_spec());
-  ASSERT_NE(b.engine, nullptr) << b.diags.str();
-  EngineOptions opt;
-  opt.max_solutions = 0;
-  opt.dominance = false;  // exercise duplicate projections through both
-  auto sols = b.engine->enumerate(opt);
-  ASSERT_FALSE(sols.empty());
-  const MaterializeCache cache(*b.engine);
-  for (const Assignment& a : sols) {
-    auto cached = cache.run(a);
-    auto plain = materialize(*b.model, *b.fg, a);
-    ASSERT_EQ(cached.has_value(), plain.has_value());
-    if (!cached) continue;
-    EXPECT_EQ(cached->key(), plain->key());
-    EXPECT_EQ(cached->cost, plain->cost);
-    ASSERT_EQ(cached->syncs.size(), plain->syncs.size());
-    for (std::size_t i = 0; i < cached->syncs.size(); ++i) {
-      EXPECT_EQ(cached->syncs[i].before, plain->syncs[i].before);
-      EXPECT_EQ(cached->syncs[i].in_cycle, plain->syncs[i].in_cycle);
-    }
-  }
-}
 
 TEST(MaterializeCache, ReportsFailureReason) {
   Built b = build(lang::testt_source(), lang::testt_spec());
@@ -314,8 +290,9 @@ TEST(MaterializeCache, ReportsFailureReason) {
   Assignment broken = sols[0];
   broken.state_of[0] = (broken.state_of[0] + 1) %
                        static_cast<int>(b.model->autom().states().size());
-  if (!materialize(*b.engine, broken, &failure))
+  if (!materialize(*b.engine, broken, &failure)) {
     EXPECT_EQ(failure, MaterializeFailure::kNoTransition);
+  }
 }
 
 }  // namespace

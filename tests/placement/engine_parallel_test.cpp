@@ -127,11 +127,13 @@ TEST(ParallelEngine, ParallelPlacementsMatchSequential) {
   // placements — what `mptool place` prints — are identical for any jobs.
   ToolOptions opt;
   opt.engine.max_solutions = 0;
-  auto seq = run_tool(lang::testt_source(), lang::testt_spec(), opt);
-  ASSERT_TRUE(seq.ok()) << seq.diags.str();
+  Compiled c = compile_frontend(lang::testt_source(), lang::testt_spec());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult seq = enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(seq.placements.empty());
   opt.engine.jobs = 8;
-  auto par = run_tool(lang::testt_source(), lang::testt_spec(), opt);
-  ASSERT_TRUE(par.ok()) << par.diags.str();
+  EnumerationResult par = enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(par.placements.empty());
   ASSERT_EQ(seq.placements.size(), par.placements.size());
   for (std::size_t i = 0; i < seq.placements.size(); ++i) {
     EXPECT_EQ(seq.placements[i].key(), par.placements[i].key());

@@ -12,10 +12,17 @@ namespace {
 
 using automaton::CommAction;
 
-ToolResult run_testt(std::size_t max_solutions = 0) {
+const Compiled& testt() {
+  static const Compiled c =
+      compile_frontend(lang::testt_source(), lang::testt_spec());
+  return c;
+}
+
+/// Enumerates over testt(), which must have compiled.
+EnumerationResult enumerate_testt(std::size_t max_solutions = 0) {
   ToolOptions opt;
   opt.engine.max_solutions = max_solutions;
-  return run_tool(lang::testt_source(), lang::testt_spec(), opt);
+  return enumerate_placements(*testt().model, *testt().fg, opt);
 }
 
 const lang::Stmt* loop_with_bound_and_lhs(const ProgramModel& m,
@@ -37,8 +44,10 @@ const lang::Stmt* first_if(const ProgramModel& m) {
 }
 
 TEST(Engine, TesttIsSolvable) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_testt();
+  ASSERT_FALSE(r.placements.empty());
   EXPECT_GT(r.stats.solutions, 0u);
   EXPECT_GT(r.placements.size(), 1u)
       << "the paper stresses that more than one solution exists";
@@ -66,7 +75,9 @@ TEST(Engine, PruningFixesManyOccurrences) {
 }
 
 TEST(Engine, MaxSolutionsTruncates) {
-  auto r = run_testt(/*max_solutions=*/8);
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_testt(/*max_solutions=*/8);
   EXPECT_TRUE(r.stats.truncated);
   EXPECT_EQ(r.stats.solutions, 8u);
   EXPECT_EQ(r.stats.reason, TruncationReason::kMaxSolutions);
@@ -76,7 +87,9 @@ TEST(Engine, AssignmentBudgetTruncatesWithReason) {
   ToolOptions opt;
   opt.engine.max_solutions = 0;
   opt.engine.max_assignments = 10;
-  auto r = run_tool(lang::testt_source(), lang::testt_spec(), opt);
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_placements(*c.model, *c.fg, opt);
   EXPECT_TRUE(r.stats.truncated);
   EXPECT_EQ(r.stats.reason, TruncationReason::kMaxAssignments);
   EXPECT_LE(r.stats.assignments, 10);
@@ -87,27 +100,33 @@ TEST(Engine, ExpiredDeadlineTruncatesImmediately) {
   ToolOptions opt;
   opt.engine.max_solutions = 0;
   opt.engine.deadline_ms = -1;  // already expired: deterministic truncation
-  auto r = run_tool(lang::testt_source(), lang::testt_spec(), opt);
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_placements(*c.model, *c.fg, opt);
   EXPECT_TRUE(r.stats.truncated);
   EXPECT_EQ(r.stats.reason, TruncationReason::kDeadline);
   EXPECT_TRUE(r.placements.empty());
 }
 
 TEST(Engine, UntruncatedSearchReportsNoReason) {
-  auto r = run_testt();
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_testt();
   EXPECT_FALSE(r.stats.truncated);
   EXPECT_EQ(r.stats.reason, TruncationReason::kNone);
 }
 
 TEST(Placement, Figure9SolutionIsFound) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
-  const lang::Stmt* ifstmt = first_if(*r.model);
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_testt();
+  ASSERT_FALSE(r.placements.empty());
+  const lang::Stmt* ifstmt = first_if(*c.model);
   const lang::Stmt* copy_loop =
-      loop_with_bound_and_lhs(*r.model, "nsom", "old");
+      loop_with_bound_and_lhs(*c.model, "nsom", "old");
   // There are two old-assign loops (init and copy); the copy one reads new.
   const lang::Stmt* init_loop = copy_loop;
-  for (const lang::Stmt* s : r.model->partitioned_loops()) {
+  for (const lang::Stmt* s : c.model->partitioned_loops()) {
     if (s->do_hi->name == "nsom" && !s->body.empty() &&
         s->body[0]->kind == lang::StmtKind::kAssign &&
         s->body[0]->lhs->name == "old") {
@@ -118,9 +137,9 @@ TEST(Placement, Figure9SolutionIsFound) {
     }
   }
   const lang::Stmt* diff_loop =
-      loop_with_bound_and_lhs(*r.model, "nsom", "diff");
+      loop_with_bound_and_lhs(*c.model, "nsom", "diff");
   const lang::Stmt* tri_loop = nullptr;
-  for (const lang::Stmt* s : r.model->partitioned_loops())
+  for (const lang::Stmt* s : c.model->partitioned_loops())
     if (s->do_hi->name == "ntri") tri_loop = s;
   ASSERT_NE(ifstmt, nullptr);
   ASSERT_NE(copy_loop, nullptr);
@@ -158,10 +177,12 @@ TEST(Placement, Figure9SolutionIsFound) {
 }
 
 TEST(Placement, Figure10SolutionIsFound) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_testt();
+  ASSERT_FALSE(r.placements.empty());
   const lang::Stmt* diff_loop =
-      loop_with_bound_and_lhs(*r.model, "nsom", "diff");
+      loop_with_bound_and_lhs(*c.model, "nsom", "diff");
   ASSERT_NE(diff_loop, nullptr);
 
   // Figure 10: OLD is synchronized once per time step (anywhere between the
@@ -182,7 +203,7 @@ TEST(Placement, Figure10SolutionIsFound) {
         extra = true;
     }
     bool kernel_copies = true;
-    for (const lang::Stmt* l : r.model->partitioned_loops()) {
+    for (const lang::Stmt* l : c.model->partitioned_loops()) {
       if (l->do_hi->name == "nsom" && !l->body.empty() &&
           l->body[0]->kind == lang::StmtKind::kAssign &&
           (l->body[0]->lhs->name == "old" ||
@@ -199,8 +220,10 @@ TEST(Placement, Figure10SolutionIsFound) {
 }
 
 TEST(Placement, CheapestSolutionGroupsTheTwoCommunications) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_testt();
+  ASSERT_FALSE(r.placements.empty());
   const Placement& best = r.placements.front();
   // The best solutions co-locate the array update and the scalar reduction
   // (one communication "location"), the grouping advantage the paper
@@ -212,22 +235,26 @@ TEST(Placement, CheapestSolutionGroupsTheTwoCommunications) {
 }
 
 TEST(Placement, AllPlacementsPassSimulationCheck) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_testt();
+  ASSERT_FALSE(r.placements.empty());
   for (const auto& p : r.placements) {
-    SimulationResult sim = simulate_check(*r.model, *r.fg, p.assignment);
+    SimulationResult sim = simulate_check(*c.model, *c.fg, p.assignment);
     EXPECT_TRUE(sim.ok())
         << (sim.violations.empty() ? std::string() : sim.violations.front());
     // The independent verifier must agree with the simulation check.
-    VerifyReport rep = verify_placement(*r.model, *r.fg, p);
+    VerifyReport rep = verify_placement(*c.model, *c.fg, p);
     EXPECT_TRUE(rep.findings.empty())
         << rep.findings.front().code << ": " << rep.findings.front().message;
   }
 }
 
 TEST(Placement, DroppedUpdateTransitionFailsVerifier) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_testt();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   // Corrupt the materialized assignment by dropping one Update
   // communication; the verifier must flag the now-uncovered dependence.
@@ -240,20 +267,22 @@ TEST(Placement, DroppedUpdateTransitionFailsVerifier) {
     }
   }
   ASSERT_TRUE(dropped);
-  VerifyReport rep = verify_placement(*r.model, *r.fg, bad);
+  VerifyReport rep = verify_placement(*c.model, *c.fg, bad);
   EXPECT_FALSE(rep.ok());
   EXPECT_TRUE(rep.has(kVerifyMissingComm));
 }
 
 TEST(Placement, CorruptedAssignmentFailsSimulationCheck) {
-  auto r = run_testt();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_testt();
+  ASSERT_FALSE(r.placements.empty());
   Assignment bad = r.placements.front().assignment;
   // Force the RESULT output to the incoherent node state.
-  int out = r.fg->output_occ("result");
+  int out = c.fg->output_occ("result");
   ASSERT_GE(out, 0);
-  bad.state_of[out] = *r.model->autom().find_state("Nod1");
-  SimulationResult sim = simulate_check(*r.model, *r.fg, bad);
+  bad.state_of[out] = *c.model->autom().find_state("Nod1");
+  SimulationResult sim = simulate_check(*c.model, *c.fg, bad);
   EXPECT_FALSE(sim.ok());
 }
 
@@ -265,10 +294,12 @@ TEST(Placement, NodeBoundaryPatternAssemblesBeforeReduction) {
   spec.replace(pos, std::string("overlap-triangle-layer").size(),
                "overlap-node-boundary");
   ToolOptions opt;
-  auto r = run_tool(lang::testt_source(), spec, opt);
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  Compiled c = compile_frontend(lang::testt_source(), spec);
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(r.placements.empty());
   const lang::Stmt* diff_loop =
-      loop_with_bound_and_lhs(*r.model, "nsom", "diff");
+      loop_with_bound_and_lhs(*c.model, "nsom", "diff");
   ASSERT_NE(diff_loop, nullptr);
   for (const auto& p : r.placements) {
     // Every solution must assemble NEW at a point no later than the
@@ -287,7 +318,7 @@ TEST(Placement, UnsatisfiableRequirementYieldsNoSolutions) {
   // Under the Figure-7 automaton, a coherent input cannot become "partial"
   // (no weakening), so requiring a partial output of a pass-through program
   // is unsatisfiable.
-  auto r = run_tool(
+  Compiled c = compile_frontend(
       "      subroutine f(nsom,x,y)\n"
       "      integer nsom,i\n"
       "      real x(10),y(10)\n"
@@ -300,15 +331,15 @@ TEST(Placement, UnsatisfiableRequirementYieldsNoSolutions) {
       "array x nodes\narray y nodes\n"
       "input x coherent\ninput nsom replicated\n"
       "output y partial\n");
-  EXPECT_TRUE(r.applicability.ok());
-  EXPECT_TRUE(r.placements.empty());
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EXPECT_TRUE(enumerate_placements(*c.model, *c.fg).placements.empty());
 }
 
 TEST(Placement, DeepHaloHalvesTheUpdates) {
   // The §3.1 "two layers of overlapping triangles" pattern: with two
   // chained gather-scatter stages per time step, a one-layer overlap needs
   // two array updates per step, a two-layer overlap only one.
-  auto count_cycle_updates = [](const ToolResult& r) {
+  auto count_cycle_updates = [](const EnumerationResult& r) {
     std::size_t best = 1000;
     for (const auto& p : r.placements) {
       std::size_t n = 0;
@@ -321,16 +352,20 @@ TEST(Placement, DeepHaloHalvesTheUpdates) {
   ToolOptions opt;
   opt.engine.max_solutions = 4096;
 
-  auto shallow = run_tool(lang::synthetic_source(2), lang::synthetic_spec(2),
-                          opt);
-  ASSERT_TRUE(shallow.ok()) << shallow.diags.str();
+  Compiled c =
+      compile_frontend(lang::synthetic_source(2), lang::synthetic_spec(2));
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult shallow = enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(shallow.placements.empty());
 
   std::string deep_spec = lang::synthetic_spec(2);
   auto pos = deep_spec.find("overlap-triangle-layer");
   deep_spec.replace(pos, std::string("overlap-triangle-layer").size(),
                     "overlap-triangle-layer-2");
-  auto deep = run_tool(lang::synthetic_source(2), deep_spec, opt);
-  ASSERT_TRUE(deep.ok()) << deep.diags.str();
+  Compiled c2 = compile_frontend(lang::synthetic_source(2), deep_spec);
+  ASSERT_TRUE(c2.ok()) << c2.diags.str();
+  EnumerationResult deep = enumerate_placements(*c2.model, *c2.fg, opt);
+  ASSERT_FALSE(deep.placements.empty());
 
   EXPECT_EQ(count_cycle_updates(shallow), 2u);
   EXPECT_EQ(count_cycle_updates(deep), 1u);

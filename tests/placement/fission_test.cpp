@@ -48,11 +48,9 @@ TEST(Fission, CaseDLoopIsRejectedThenFixedByFission) {
 
   // The transformed program is accepted and placeable: the dependence now
   // runs between two partitioned loops (case f).
-  ToolOptions opt;
-  auto r = run_tool(fissioned->source, kFissionSpec, opt);
-  ASSERT_TRUE(r.model != nullptr) << r.diags.str();
-  EXPECT_TRUE(r.applicability.ok());
-  EXPECT_FALSE(r.placements.empty());
+  Compiled c = compile_frontend(fissioned->source, kFissionSpec);
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EXPECT_FALSE(enumerate_placements(*c.model, *c.fg).placements.empty());
 }
 
 TEST(Fission, PipelineRecurrenceCannotBeFissioned) {
@@ -117,10 +115,9 @@ TEST(Fission, LocalizedTempKeepsPiecesTogether) {
   auto fissioned = fission_forbidden_loops(*model);
   ASSERT_TRUE(fissioned.has_value());
   EXPECT_EQ(fissioned->pieces, 2);  // {c(i)=a(i+1)} and {v=..., a(i)=v}
-  ToolOptions opt;
-  auto r = run_tool(fissioned->source, kFissionSpec, opt);
-  ASSERT_TRUE(r.model != nullptr) << r.diags.str();
-  EXPECT_TRUE(r.applicability.ok());
+  Compiled c = compile_frontend(fissioned->source, kFissionSpec);
+  ASSERT_TRUE(c.model != nullptr) << c.diags.str();
+  EXPECT_TRUE(c.applicability.ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -182,8 +179,10 @@ TEST(EdgeFlux, SubtractiveAssemblyIsRecognized) {
 TEST(EdgeFlux, PlacementUsesEdgeStates) {
   ToolOptions opt;
   opt.engine.max_solutions = 512;
-  auto r = run_tool(kEdgeFluxSource, kEdgeFluxSpec, opt);
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  Compiled c = compile_frontend(kEdgeFluxSource, kEdgeFluxSpec);
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  EnumerationResult r = enumerate_placements(*c.model, *c.fg, opt);
+  ASSERT_FALSE(r.placements.empty());
   // The update of u must sit inside the iterative loop: the edge gather
   // needs coherent node values every step.
   const auto& best = r.placements.front();
@@ -195,7 +194,7 @@ TEST(EdgeFlux, PlacementUsesEdgeStates) {
   EXPECT_TRUE(u_update_in_cycle);
   // The edge loop iterates its overlap domain.
   for (const auto& dmn : best.domains) {
-    const LoopRule* rule = r.model->partition_rule(*dmn.loop);
+    const LoopRule* rule = c.model->partition_rule(*dmn.loop);
     if (rule->entity == automaton::EntityKind::kEdge) {
       EXPECT_EQ(dmn.layers, 1);
     }

@@ -12,31 +12,45 @@ namespace {
 
 using automaton::CommAction;
 
-const ToolResult& testt_tool() {
-  static ToolResult r = run_tool(lang::testt_source(), lang::testt_spec());
-  return r;
+const Compiled& testt() {
+  static const Compiled c =
+      compile_frontend(lang::testt_source(), lang::testt_spec());
+  return c;
+}
+
+/// The default enumeration over testt(); empty if its front end failed.
+const EnumerationResult& testt_placements() {
+  static const EnumerationResult e =
+      testt().ok()
+          ? enumerate_placements(*testt().model, *testt().fg)
+          : EnumerationResult{};
+  return e;
 }
 
 TEST(Verify, EveryEnumeratedPlacementIsClean) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok()) << r.diags.str();
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   for (std::size_t i = 0; i < r.placements.size(); ++i) {
-    VerifyReport rep = verify_placement(*r.model, *r.fg, r.placements[i]);
+    VerifyReport rep = verify_placement(*c.model, *c.fg, r.placements[i]);
     EXPECT_TRUE(rep.findings.empty())
         << "placement #" << i << ": " << rep.findings.front().message;
   }
 }
 
 TEST(Verify, DroppedArrayUpdateIsMissingCommunication) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   auto it = bad.syncs.begin();
   while (it != bad.syncs.end() && it->action != CommAction::kUpdateCopy) ++it;
   ASSERT_NE(it, bad.syncs.end()) << "expected an overlap update to drop";
   std::string var = it->var;
   bad.syncs.erase(it);
-  VerifyReport rep = verify_placement(*r.model, *r.fg, bad);
+  VerifyReport rep = verify_placement(*c.model, *c.fg, bad);
   EXPECT_FALSE(rep.ok());
   ASSERT_TRUE(rep.has(kVerifyMissingComm));
   bool names_var = false;
@@ -48,79 +62,91 @@ TEST(Verify, DroppedArrayUpdateIsMissingCommunication) {
 }
 
 TEST(Verify, DroppedScalarReductionIsMissingCommunication) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   auto it = bad.syncs.begin();
   while (it != bad.syncs.end() && it->action != CommAction::kReduceScalar)
     ++it;
   ASSERT_NE(it, bad.syncs.end());
   bad.syncs.erase(it);
-  VerifyReport rep = verify_placement(*r.model, *r.fg, bad);
+  VerifyReport rep = verify_placement(*c.model, *c.fg, bad);
   EXPECT_TRUE(rep.has(kVerifyMissingComm));
 }
 
 TEST(Verify, TamperedIterationDomainIsReported) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   ASSERT_FALSE(bad.domains.empty());
   bad.domains.front().layers = bad.domains.front().layers == 0 ? 1 : 0;
-  VerifyReport rep = verify_placement(*r.model, *r.fg, bad);
+  VerifyReport rep = verify_placement(*c.model, *c.fg, bad);
   EXPECT_TRUE(rep.has(kVerifyDomainMismatch));
 }
 
 TEST(Verify, TamperedOutputStateIsBoundaryMismatch) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
-  int out = r.fg->output_occ("result");
+  int out = c.fg->output_occ("result");
   ASSERT_GE(out, 0);
-  auto nod1 = r.model->autom().find_state("Nod1");
+  auto nod1 = c.model->autom().find_state("Nod1");
   ASSERT_TRUE(nod1.has_value());
   bad.assignment.state_of[out] = *nod1;
-  VerifyReport rep = verify_placement(*r.model, *r.fg, bad);
+  VerifyReport rep = verify_placement(*c.model, *c.fg, bad);
   EXPECT_TRUE(rep.has(kVerifyBoundaryState));
 }
 
 TEST(Verify, ScalarOccurrenceInNodeStateIsShapeMismatch) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   int scalar_occ = -1;
-  for (const Occurrence& o : r.fg->occs())
+  for (const Occurrence& o : c.fg->occs())
     if (o.shape == automaton::EntityKind::kScalar) {
       scalar_occ = o.id;
       break;
     }
   ASSERT_GE(scalar_occ, 0);
-  auto nod0 = r.model->autom().find_state("Nod0");
+  auto nod0 = c.model->autom().find_state("Nod0");
   ASSERT_TRUE(nod0.has_value());
   bad.assignment.state_of[scalar_occ] = *nod0;
-  VerifyReport rep = verify_placement(*r.model, *r.fg, bad);
+  VerifyReport rep = verify_placement(*c.model, *c.fg, bad);
   EXPECT_TRUE(rep.has(kVerifyShapeMismatch));
 }
 
 TEST(Verify, TruncatedAssignmentIsStructurallyRejected) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   bad.assignment.state_of.pop_back();
-  VerifyReport rep = verify_placement(*r.model, *r.fg, bad);
+  VerifyReport rep = verify_placement(*c.model, *c.fg, bad);
   EXPECT_FALSE(rep.ok());
   EXPECT_TRUE(rep.has(kVerifyShapeMismatch));
 }
 
 TEST(Verify, FindingsFlowIntoTheDiagnosticSink) {
-  const ToolResult& r = testt_tool();
-  ASSERT_TRUE(r.ok());
+  const Compiled& c = testt();
+  ASSERT_TRUE(c.ok()) << c.diags.str();
+  const EnumerationResult& r = testt_placements();
+  ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
   auto it = bad.syncs.begin();
   while (it != bad.syncs.end() && it->action != CommAction::kUpdateCopy) ++it;
   ASSERT_NE(it, bad.syncs.end());
   bad.syncs.erase(it);
   DiagnosticEngine sink;
-  VerifyReport rep = verify_placement(*r.model, *r.fg, bad, &sink);
+  VerifyReport rep = verify_placement(*c.model, *c.fg, bad, &sink);
   EXPECT_TRUE(sink.has_code(kVerifyMissingComm));
   EXPECT_EQ(sink.error_count(), rep.errors());
   EXPECT_NE(sink.str().find("MP-V001"), std::string::npos);

@@ -181,8 +181,11 @@ TEST(Service, CachedPlacementsAreByteIdenticalToFresh) {
     placement::ToolOptions opt;
     opt.k_best = true;
     opt.engine.max_solutions = 4;
-    placement::ToolResult fresh = placement::run_tool(p.source, p.spec, opt);
-    ASSERT_TRUE(fresh.ok());
+    placement::Compiled c = placement::compile_frontend(p.source, p.spec);
+    ASSERT_TRUE(c.ok());
+    placement::EnumerationResult fresh =
+        placement::enumerate_placements(*c.model, *c.fg, opt);
+    ASSERT_FALSE(fresh.placements.empty());
     Service svc;
     svc.placements(p.source, p.spec, opt);          // cold: computes
     auto warm = svc.placements(p.source, p.spec, opt);  // warm: cached
@@ -246,31 +249,39 @@ TEST(Service, DeadlineRequestsBypassTheCache) {
 }
 
 TEST(Service, RunReportsPerRequestDelta) {
+  // Each call reports its own cache activity through the hit out-params,
+  // and the service-wide counters move by exactly that much.
   Service svc;
-  Request req;
-  req.source = lang::testt_source();
-  req.spec = lang::testt_spec();
-  Response cold = svc.run(req);
-  ASSERT_TRUE(cold.built());
-  ASSERT_TRUE(cold.placements);
-  EXPECT_EQ(cold.delta.compile.misses, 1);
-  EXPECT_EQ(cold.delta.compile.hits, 0);
-  EXPECT_EQ(cold.delta.placements.misses, 1);
-  Response warm = svc.run(req);
-  EXPECT_EQ(warm.delta.compile.hits, 1);
-  EXPECT_EQ(warm.delta.placements.hits, 1);
-  EXPECT_EQ(warm.delta.misses(), 0);
-  EXPECT_EQ(warm.placements.get(), cold.placements.get());
+  const std::string src = lang::testt_source();
+  const std::string spec = lang::testt_spec();
+  const placement::ToolOptions opt{};
+  bool chit = true, phit = true;
+  auto cold = svc.placements(src, spec, opt, &chit, &phit);
+  ASSERT_TRUE(cold && cold->compiled->model);
+  EXPECT_FALSE(chit);
+  EXPECT_FALSE(phit);
+  const CacheStats after_cold = svc.stats();
+  EXPECT_EQ(after_cold.compile.misses, 1);
+  EXPECT_EQ(after_cold.compile.hits, 0);
+  EXPECT_EQ(after_cold.placements.misses, 1);
 
-  Request front;
-  front.source = req.source;
-  front.spec = req.spec;
-  front.actions = kFrontEnd;
-  Response fe = svc.run(front);
-  EXPECT_TRUE(fe.built());
-  EXPECT_FALSE(fe.placements);
-  EXPECT_EQ(fe.delta.compile.hits, 1);
-  EXPECT_EQ(fe.delta.placements.hits + fe.delta.placements.misses, 0);
+  auto warm = svc.placements(src, spec, opt, &chit, &phit);
+  EXPECT_TRUE(chit);
+  EXPECT_TRUE(phit);
+  EXPECT_EQ(warm.get(), cold.get());
+  const CacheStats after_warm = svc.stats();
+  EXPECT_EQ(after_warm.compile.hits - after_cold.compile.hits, 1);
+  EXPECT_EQ(after_warm.placements.hits - after_cold.placements.hits, 1);
+  EXPECT_EQ(after_warm.misses(), after_cold.misses());
+
+  // The front end alone touches the compile level only.
+  auto fe = svc.compile(src, spec, &chit);
+  ASSERT_TRUE(fe && fe->model);
+  EXPECT_TRUE(chit);
+  const CacheStats after_fe = svc.stats();
+  EXPECT_EQ(after_fe.compile.hits - after_warm.compile.hits, 1);
+  EXPECT_EQ(after_fe.placements.hits, after_warm.placements.hits);
+  EXPECT_EQ(after_fe.placements.misses, after_warm.placements.misses);
 }
 
 TEST(Service, ResultLevelMemoizesRenderedActions) {
@@ -305,11 +316,9 @@ TEST(Service, ConcurrentIdenticalRequestsCoalesce) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
-      Request req;
-      req.source = lang::testt_source();
-      req.spec = lang::testt_spec();
-      Response r = svc.run(req);
-      if (!r.built() || r.placements->placements.empty()) ++failures;
+      auto set = svc.placements(lang::testt_source(), lang::testt_spec(),
+                                placement::ToolOptions{});
+      if (set->placements.empty()) ++failures;
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
