@@ -52,7 +52,7 @@ void BM_ServiceCompileCold(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceCompileCold)->Unit(benchmark::kMicrosecond);
 
-// One iteration = the warm hit path: a content-key digest plus one LRU
+// One iteration = the warm hit path: a content-key digest plus one map
 // lookup returning the shared artifact.
 void BM_ServiceCompileWarm(benchmark::State& state) {
   const std::string src = lang::testt_source();
@@ -94,7 +94,7 @@ void BM_ServicePipelineCold(benchmark::State& state) {
 BENCHMARK(BM_ServicePipelineCold)->Unit(benchmark::kMillisecond);
 
 // One iteration = the same request against a warm service: two digests and
-// two LRU lookups, no recomputation.
+// two map lookups, no recomputation.
 void BM_ServicePipelineWarm(benchmark::State& state) {
   const std::string src = lang::coupled_source();
   const std::string spec = lang::coupled_spec();

@@ -8,46 +8,53 @@
 // 0 = all cores), but the report is BYTE-IDENTICAL for every --jobs value:
 //
 //   * outputs are aggregated in manifest order, never completion order;
-//   * each entry's rendered result is memoized in the service's result
-//     cache, and concurrent duplicates coalesce (the first requester
-//     computes, the rest block), so cache counters depend only on the SET
-//     of distinct keys, not on scheduling;
-//   * the per-entry "cached" column is decided by a sequential pre-pass
-//     (already in the service, or an earlier manifest entry with the same
-//     key) — never by who won a race.
-//
-// The byte-identity guarantee assumes the working set fits the service's
-// cache capacities (the default config holds hundreds of entries); an
-// evicting run can recompute, which changes counters but never payloads.
+//   * a sequential pre-pass keys every entry (digest of its inputs plus the
+//     subcommand and normalized flags) and marks each repeat of an earlier
+//     key as "cached". Only the first entry of each key runs; after the
+//     pool drains, every repeat copies that entry's result. The "results"
+//     counters are therefore misses = distinct keys, hits = repeats;
+//   * the compile and placements levels coalesce concurrent requests (the
+//     first requester computes, the rest block), so their counters depend
+//     only on the SET of distinct keys, not on scheduling. The service
+//     never evicts, so this holds for a manifest of any size.
 //
 // Exit: 0 = every entry succeeded; 1 = some entry exited 1; 2 = malformed
 // or unreadable manifest, or some entry was itself a usage/build error.
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <map>
 #include <sstream>
 
 #include "cli/handlers.hpp"
 #include "cli/options.hpp"
+#include "service/key.hpp"
 #include "service/service.hpp"
 #include "support/json.hpp"
 #include "support/json_reader.hpp"
 #include "support/pool.hpp"
 #include "support/table.hpp"
+#include "support/trace.hpp"
 
 namespace meshpar::cli {
 
 namespace {
+
+/// What one entry printed and how it exited.
+struct ActionResult {
+  int exit_code = 0;
+  std::string output;  // stdout
+  std::string error;   // stderr
+};
 
 struct BatchEntry {
   std::string name;
   Options opts;
   std::string program_text;
   std::string spec_text;
-  std::string key;       // result-cache key
-  bool reused = false;   // decided by the sequential pre-pass
-  bool done = false;     // pre-pass already produced `result`
-  service::ActionResult result;
+  std::string key;                    // see Options::cache_key
+  const BatchEntry* first = nullptr;  // earlier entry with the same key
+  bool done = false;                  // load_entry already set `result`
+  ActionResult result;
 };
 
 bool read_file(const std::filesystem::path& p, std::string* out) {
@@ -107,8 +114,7 @@ BatchEntry load_entry(const JsonValue& v, std::size_t index,
 void cache_level_json(std::ostream& out, const char* name,
                       const service::LevelStats& s) {
   out << "\"" << name << "\":{\"hits\":" << s.hits
-      << ",\"misses\":" << s.misses << ",\"evictions\":" << s.evictions
-      << "}";
+      << ",\"misses\":" << s.misses << "}";
 }
 
 }  // namespace
@@ -144,15 +150,21 @@ int cmd_batch(Context& ctx) {
   for (std::size_t i = 0; i < entries_v->items().size(); ++i)
     entries.push_back(load_entry(entries_v->items()[i], i, base));
 
-  // Sequential pre-pass: assign result keys and decide the deterministic
-  // "cached" column before any concurrency starts.
-  std::set<std::string> keys_seen;
+  // Sequential pre-pass: key every entry and point each repeat at the
+  // first entry of its key before any concurrency starts.
+  std::map<std::string, const BatchEntry*> firsts;
+  service::LevelStats d_results;
   for (BatchEntry& e : entries) {
     if (e.done) continue;
     e.key = e.opts.cache_key(
         service::Service::content_key(e.program_text, e.spec_text));
-    e.reused =
-        ctx.service.has_result(e.key) || !keys_seen.insert(e.key).second;
+    auto [it, inserted] = firsts.emplace(e.key, &e);
+    if (inserted) {
+      ++d_results.misses;
+    } else {
+      e.first = it->second;
+      ++d_results.hits;
+    }
   }
 
   const service::CacheStats before = ctx.service.stats();
@@ -160,30 +172,35 @@ int cmd_batch(Context& ctx) {
     support::ThreadPool pool(support::ThreadPool::clamp_jobs(
         o.jobs == 0 ? -1 : o.jobs));
     for (BatchEntry& e : entries) {
-      if (e.done) continue;
+      if (e.done || e.first) continue;
       pool.submit([&e, &ctx] {
-        auto r = ctx.service.result(e.key, [&] {
-          std::ostringstream eo, ee;
-          int code =
-              dispatch_command(e.opts, e.program_text, e.spec_text,
-                               ctx.service, eo, ee);
-          return service::ActionResult{code, eo.str(), ee.str()};
-        });
-        e.result = *r;
+        trace::Span span("service/action", "service");
+        span.arg("key", service::short_key(e.key));
+        std::ostringstream eo, ee;
+        const int code = dispatch_command(e.opts, e.program_text,
+                                          e.spec_text, ctx.service, eo, ee);
+        e.result = {code, eo.str(), ee.str()};
+        span.arg("exit", code);
       });
     }
     pool.wait();
   }
+  for (BatchEntry& e : entries) {
+    if (!e.first) continue;
+    e.result = e.first->result;
+    if (trace::active())
+      trace::current()->instant(
+          "service/hit", "service",
+          {{"level", "result"}, {"key", service::short_key(e.key)}});
+  }
   const service::CacheStats after = ctx.service.stats();
   auto delta = [&](const service::LevelStats& a,
                    const service::LevelStats& b) {
-    return service::LevelStats{a.hits - b.hits, a.misses - b.misses,
-                               a.evictions - b.evictions};
+    return service::LevelStats{a.hits - b.hits, a.misses - b.misses};
   };
   const service::LevelStats d_compile = delta(after.compile, before.compile);
   const service::LevelStats d_place =
       delta(after.placements, before.placements);
-  const service::LevelStats d_results = delta(after.results, before.results);
   const long long d_uncacheable = after.uncacheable - before.uncacheable;
 
   std::size_t ok = 0;
@@ -210,7 +227,7 @@ int cmd_batch(Context& ctx) {
       out << "{\"name\":\"" << json_escape(e.name) << "\",\"command\":\""
           << json_escape(e.opts.command) << "\",\"exit\":"
           << e.result.exit_code << ",\"cached\":"
-          << (e.reused ? "true" : "false") << ",\"output\":\""
+          << (e.first ? "true" : "false") << ",\"output\":\""
           << json_escape(e.result.output) << "\",\"error\":\""
           << json_escape(e.result.error) << "\"}";
     }
@@ -234,7 +251,7 @@ int cmd_batch(Context& ctx) {
                e.result.exit_code == 0   ? "ok"
                : e.result.exit_code == 1 ? "FAIL"
                                          : "ERROR",
-               e.reused ? "yes" : "no"});
+               e.first ? "yes" : "no"});
   }
   out << t.str() << "\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {

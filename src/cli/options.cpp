@@ -111,8 +111,12 @@ Options parse_args(const std::vector<std::string>& args) {
     }
   }
   if (positional.empty()) {
-    o.parse_error =
-        "missing command (place | check | verify | deps | automaton)";
+    o.parse_error = "missing command (";
+    for (const CommandSpec& c : registry()) {
+      if (&c != &registry().front()) o.parse_error += " | ";
+      o.parse_error += c.name;
+    }
+    o.parse_error += ")";
     return o;
   }
   o.command = positional[0];

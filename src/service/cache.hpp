@@ -1,27 +1,21 @@
-// The memoization core of the service layer (DESIGN.md §15): a bounded,
-// thread-safe, request-coalescing LRU map from content-addressed keys to
-// shared immutable artifacts.
+// The memoization core of the service layer (DESIGN.md §15): a thread-safe,
+// request-coalescing map from content-addressed keys to shared immutable
+// artifacts. A service lives for one invocation, so nothing is ever
+// evicted: an entry lives as long as its cache.
 //
 // Coalescing is what makes the hit/miss counters deterministic under
 // concurrency: the first requester of a key becomes its computer (one
 // miss); every other requester — even one arriving while the computation
 // is still in flight — blocks on the slot and counts as a hit, because the
-// artifact was NOT recomputed for it. For a fixed multiset of get() calls
-// whose distinct keys fit the capacity, misses always equals the number of
-// distinct keys and hits equals the remainder, regardless of thread
-// scheduling. That invariant is what lets `mptool batch --json` pin its
-// cache-stats block byte-for-byte across --jobs values.
-//
-// Eviction is strict LRU over *ready* entries; an in-flight slot is not in
-// the recency list and therefore cannot be evicted mid-computation (the
-// map may transiently exceed capacity by the number of in-flight slots).
-// Values are shared_ptrs, so eviction never invalidates what a caller
-// already holds.
+// artifact was NOT recomputed for it. For a fixed multiset of get() calls,
+// misses always equals the number of distinct keys and hits equals the
+// remainder, regardless of thread scheduling. That invariant is what lets
+// `mptool batch --json` pin its cache-stats block byte-for-byte across
+// --jobs values.
 #pragma once
 
 #include <condition_variable>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,7 +27,6 @@ namespace meshpar::service {
 struct LevelStats {
   long long hits = 0;
   long long misses = 0;
-  long long evictions = 0;
 };
 
 template <typename T>
@@ -41,14 +34,11 @@ class MemoCache {
  public:
   using Value = std::shared_ptr<const T>;
 
-  explicit MemoCache(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
   /// Returns the artifact for `key`, running `compute` exactly once per
-  /// cached lifetime of the key. Blocks while another thread is computing
-  /// the same key. `hit_out` (optional) reports whether this call reused an
-  /// existing slot. If `compute` throws, the slot is abandoned and one of
-  /// the blocked waiters (or a later caller) becomes the new computer.
+  /// key. Blocks while another thread is computing the same key. `hit_out`
+  /// (optional) reports whether this call reused an existing slot. If
+  /// `compute` throws, the slot is abandoned and one of the blocked waiters
+  /// (or a later caller) becomes the new computer.
   Value get(const std::string& key, const std::function<Value()>& compute,
             bool* hit_out = nullptr) {
     std::shared_ptr<Slot> slot;
@@ -60,12 +50,8 @@ class MemoCache {
         slot = it->second;
         ++stats_.hits;
         if (hit_out) *hit_out = true;
-        if (slot->ready) {
-          touch(key);
-          return slot->value;
-        }
         cv_.wait(lock, [&] { return slot->ready || slot->abandoned; });
-        if (slot->ready && !slot->abandoned) return slot->value;
+        if (slot->ready) return slot->value;
         // The computer threw; its slot was erased. Retry: either we become
         // the computer or we find a newer slot. The optimistic hit above is
         // rolled back so the counters reflect what actually happened.
@@ -89,34 +75,14 @@ class MemoCache {
     }
     std::lock_guard<std::mutex> lock(mu_);
     slot->ready = true;
-    lru_.push_front(key);
-    pos_[key] = lru_.begin();
-    while (lru_.size() > capacity_) {
-      const std::string victim = lru_.back();
-      lru_.pop_back();
-      pos_.erase(victim);
-      map_.erase(victim);
-      ++stats_.evictions;
-    }
     cv_.notify_all();
     return slot->value;
-  }
-
-  /// True when `key` holds a ready artifact. Never blocks, never touches
-  /// recency, never changes a counter — the batch driver uses it to compute
-  /// its deterministic per-entry "reused" column before launching work.
-  [[nodiscard]] bool contains(const std::string& key) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    return it != map_.end() && it->second->ready;
   }
 
   [[nodiscard]] LevelStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
   }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   struct Slot {
@@ -125,18 +91,9 @@ class MemoCache {
     bool abandoned = false;  // compute() threw; waiters must retry
   };
 
-  /// Moves `key` to the recency front. Caller holds mu_.
-  void touch(const std::string& key) {
-    auto p = pos_.find(key);
-    if (p != pos_.end()) lru_.splice(lru_.begin(), lru_, p->second);
-  }
-
-  const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::unordered_map<std::string, std::shared_ptr<Slot>> map_;
-  std::list<std::string> lru_;  // ready entries, most recent first
-  std::unordered_map<std::string, std::list<std::string>::iterator> pos_;
   LevelStats stats_;
 };
 

@@ -2,8 +2,8 @@
 // the 128-bit FNV-1a digest of a length-prefixed part list, rendered as 32
 // hex digits. Length prefixes make the encoding injective (["ab","c"] and
 // ["a","bc"] hash differently); two independent 64-bit FNV streams with
-// distinct offset bases give collision odds far below anything a cache of
-// bounded capacity can surface.
+// distinct offset bases give collision odds far below anything the keys of
+// one invocation can surface.
 #pragma once
 
 #include <initializer_list>

@@ -16,11 +16,6 @@ void trace_hit(const char* level, const std::string& key) {
 
 }  // namespace
 
-Service::Service(const ServiceConfig& config)
-    : compile_(config.compile_capacity),
-      placements_(config.placement_capacity),
-      results_(config.result_capacity) {}
-
 std::string Service::content_key(std::string_view source,
                                  std::string_view spec) {
   return digest({source, spec});
@@ -107,34 +102,10 @@ std::shared_ptr<const PlacementSet> Service::placements(
   return set;
 }
 
-std::shared_ptr<const ActionResult> Service::result(
-    const std::string& key, const std::function<ActionResult()>& compute,
-    bool* reused_out) {
-  bool hit = false;
-  auto r = results_.get(
-      key,
-      [&]() -> std::shared_ptr<const ActionResult> {
-        trace::Span span("service/action", "service");
-        span.arg("key", short_key(key));
-        auto value = std::make_shared<ActionResult>(compute());
-        span.arg("exit", value->exit_code);
-        return value;
-      },
-      &hit);
-  if (hit) trace_hit("result", key);
-  if (reused_out) *reused_out = hit;
-  return r;
-}
-
-bool Service::has_result(const std::string& key) const {
-  return results_.contains(key);
-}
-
 CacheStats Service::stats() const {
   CacheStats s;
   s.compile = compile_.stats();
   s.placements = placements_.stats();
-  s.results = results_.stats();
   s.uncacheable = uncacheable_.load(std::memory_order_relaxed);
   return s;
 }

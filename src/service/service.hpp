@@ -1,9 +1,10 @@
 // The placement service layer (DESIGN.md §15): a thread-safe facade over
-// the compile -> enumerate pipeline. Its three calls — compile(),
-// placements() and result() — each serve one cache level, and every
-// artifact they return is shared, immutable, and content-addressed.
+// the compile -> enumerate pipeline. Its two calls — compile() and
+// placements() — each serve one cache level, and every artifact they
+// return is shared, immutable, and content-addressed.
 //
-// Three memoization levels, each a bounded coalescing LRU (cache.hpp):
+// Two memoization levels, each a coalescing map (cache.hpp) that lives as
+// long as the service — one mptool invocation:
 //
 //   compile     key = digest(source, spec)
 //               value = placement::Compiled (model + applicability + flow
@@ -13,10 +14,10 @@
 //               value = PlacementSet (ranked placements + engine stats),
 //               holding a reference to its Compiled so enumerated pointers
 //               stay valid for as long as any consumer does.
-//   results     key = caller-supplied (the CLI uses digest(compile key,
-//               subcommand, normalized flags)); value = a fully rendered
-//               ActionResult. This is what makes a repeated batch entry
-//               free end to end.
+//
+// Whole repeated `mptool batch` entries are not a service level: the batch
+// driver runs each distinct entry once and copies its result to the
+// repeats (cmd_batch.cpp).
 //
 // Option normalization (options_key): `jobs` is excluded whenever the
 // engine's determinism contract makes the output independent of it — i.e.
@@ -32,7 +33,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -51,39 +51,21 @@ struct PlacementSet {
   placement::EngineStats stats;
 };
 
-/// One memoized, fully rendered action: what a CLI subcommand printed and
-/// how it exited. Deterministic for a fixed (source, spec, options), which
-/// is what makes it cacheable at all.
-struct ActionResult {
-  int exit_code = 0;
-  std::string output;  // stdout
-  std::string error;   // stderr
-};
-
 struct CacheStats {
   LevelStats compile;
   LevelStats placements;
-  LevelStats results;
   long long uncacheable = 0;  // deadline-carrying requests, never cached
 
   [[nodiscard]] long long hits() const {
-    return compile.hits + placements.hits + results.hits;
+    return compile.hits + placements.hits;
   }
   [[nodiscard]] long long misses() const {
-    return compile.misses + placements.misses + results.misses;
+    return compile.misses + placements.misses;
   }
-};
-
-struct ServiceConfig {
-  std::size_t compile_capacity = 32;
-  std::size_t placement_capacity = 64;
-  std::size_t result_capacity = 128;
 };
 
 class Service {
  public:
-  explicit Service(const ServiceConfig& config = {});
-
   /// The compile level alone (cached, coalesced). `hit_out` (optional)
   /// reports whether the artifact was reused.
   std::shared_ptr<const placement::Compiled> compile(std::string_view source,
@@ -96,16 +78,6 @@ class Service {
       std::string_view source, std::string_view spec,
       const placement::ToolOptions& options, bool* compile_hit_out = nullptr,
       bool* placements_hit_out = nullptr);
-
-  /// Generic memoized action result; `compute` runs at most once per cached
-  /// lifetime of `key`. `reused_out` (optional) reports slot reuse.
-  std::shared_ptr<const ActionResult> result(
-      const std::string& key,
-      const std::function<ActionResult()>& compute, bool* reused_out = nullptr);
-
-  /// True when `key` already holds a ready action result (no counter
-  /// changes; see MemoCache::contains).
-  [[nodiscard]] bool has_result(const std::string& key) const;
 
   [[nodiscard]] CacheStats stats() const;
 
@@ -121,7 +93,6 @@ class Service {
  private:
   MemoCache<placement::Compiled> compile_;
   MemoCache<PlacementSet> placements_;
-  MemoCache<ActionResult> results_;
   std::atomic<long long> uncacheable_{0};
 };
 

@@ -6,14 +6,17 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "cli/registry.hpp"
 #include "lang/corpus.hpp"
 #include "service/service.hpp"
+#include "support/json_reader.hpp"
 #include "support/trace.hpp"
 
 namespace meshpar::cli {
@@ -344,7 +347,13 @@ TEST(Driver, BadFlagFails) {
 TEST(Driver, MissingCommandFails) {
   DriverResult r = run_driver({}, "", "");
   EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.error.find("missing command"), std::string::npos);
+  // The message lists every registered command, in registry order.
+  std::string expected = "missing command (";
+  for (const CommandSpec& cmd : registry()) {
+    if (&cmd != &registry().front()) expected += " | ";
+    expected += cmd.name;
+  }
+  EXPECT_EQ(r.error, expected + ")\n");
 }
 
 TEST(Driver, BadProgramReportsDiagnostics) {
@@ -459,10 +468,12 @@ std::string unique_temp_path(const std::string& stem) {
          info->name() + "_" + std::to_string(getpid());
 }
 
-/// Writes the two bundled example pairs plus a manifest into a fresh temp
-/// directory and returns the manifest path. The directories are removed
-/// when the process exits.
-std::string write_batch_fixture(const std::string& manifest_json) {
+/// Writes the two bundled example pairs, the `extra` (name, text) files and
+/// a manifest into a fresh temp directory and returns the manifest path.
+/// The directories are removed when the process exits.
+std::string write_batch_fixture(
+    const std::string& manifest_json,
+    const std::vector<std::pair<std::string, std::string>>& extra = {}) {
   struct Cleanup {
     std::vector<std::string> dirs;
     ~Cleanup() {
@@ -483,6 +494,7 @@ std::string write_batch_fixture(const std::string& manifest_json) {
   put("testt.spec", lang::testt_spec());
   put("coupled.f", lang::coupled_source());
   put("coupled.spec", lang::coupled_spec());
+  for (const auto& [name, text] : extra) put(name, text);
   put("manifest.json", manifest_json);
   return dir + "manifest.json";
 }
@@ -505,7 +517,7 @@ TEST(Driver, BatchRunsEntriesAndReportsCacheReuse) {
   EXPECT_NE(r.output.find("BATCH: 4 ok, 0 failed, 0 errors"),
             std::string::npos)
       << r.output;
-  // The duplicate place entry is served from the result cache; the lint
+  // The duplicate place entry copies the first one's result; the lint
   // entry reuses the compile artifact (≥1 hit overall, pinned exactly by
   // the JSON test below).
   EXPECT_NE(r.output.find("yes"), std::string::npos) << r.output;
@@ -559,6 +571,69 @@ TEST(Driver, BatchSharedServiceCoalescesAcrossEntries) {
   EXPECT_NE(r.output.find("\"compile\":{\"hits\":3,\"misses\":1"),
             std::string::npos)
       << r.output;
+}
+
+TEST(Driver, BatchRepeatsCopyTheFirstEntrysResult) {
+  // Repeated entries run once: the "results" counters are misses = distinct
+  // entry keys and hits = repeats, and each repeat reports the first
+  // entry's exit and output, marked cached.
+  const std::string manifest = write_batch_fixture(R"({
+    "entries": [
+      {"name": "a", "args": ["check", "testt.f", "testt.spec"]},
+      {"name": "b", "args": ["deps", "testt.f", "testt.spec"]},
+      {"name": "a2", "args": ["check", "testt.f", "testt.spec"]},
+      {"name": "c", "args": ["check", "coupled.f", "coupled.spec"]},
+      {"name": "a3", "args": ["check", "testt.f", "testt.spec"]}
+    ]
+  })");
+  DriverResult r = run_driver({"batch", manifest, "--json"}, "", "");
+  ASSERT_EQ(r.exit_code, 0) << r.error;
+  EXPECT_NE(r.output.find("\"results\":{\"hits\":2,\"misses\":3}"),
+            std::string::npos)
+      << r.output;
+  const std::optional<JsonValue> doc = json_parse(r.output);
+  ASSERT_TRUE(doc);
+  const std::vector<JsonValue>& e = doc->find("entries")->items();
+  ASSERT_EQ(e.size(), 5u);
+  const bool cached[] = {false, false, true, false, true};
+  for (std::size_t i = 0; i < e.size(); ++i)
+    EXPECT_EQ(e[i].find("cached")->as_bool(), cached[i]) << i;
+  for (std::size_t i : {2u, 4u}) {
+    EXPECT_EQ(e[i].find("output")->as_string(),
+              e[0].find("output")->as_string());
+    EXPECT_EQ(e[i].find("exit")->as_number(), e[0].find("exit")->as_number());
+  }
+}
+
+TEST(Driver, BatchManyInputsCountersAreJobsInvariant) {
+  // 40 distinct inputs (copy i of testt.f ends in i extra newlines), each
+  // checked and then listed by deps: every deps entry reuses the front end
+  // its check entry built, and the report is byte-identical across --jobs.
+  const int kInputs = 40;
+  std::vector<std::pair<std::string, std::string>> files;
+  std::string checks;
+  std::string deps;
+  for (int i = 0; i < kInputs; ++i) {
+    const std::string name = "testt_" + std::to_string(i) + ".f";
+    files.emplace_back(name, lang::testt_source() + std::string(i, '\n'));
+    checks += "{\"args\": [\"check\", \"" + name + "\", \"testt.spec\"]},";
+    deps += std::string(i ? "," : "") + "{\"args\": [\"deps\", \"" + name +
+            "\", \"testt.spec\"]}";
+  }
+  const std::string manifest = write_batch_fixture(
+      "{\"entries\": [" + checks + deps + "]}", files);
+  DriverResult seq =
+      run_driver({"batch", manifest, "--json", "--jobs", "1"}, "", "");
+  ASSERT_EQ(seq.exit_code, 0) << seq.error;
+  EXPECT_NE(seq.output.find("\"compile\":{\"hits\":40,\"misses\":40}"),
+            std::string::npos)
+      << seq.output.substr(seq.output.find("\"cache\""));
+  for (const char* jobs : {"2", "4", "0"}) {
+    DriverResult par =
+        run_driver({"batch", manifest, "--json", "--jobs", jobs}, "", "");
+    ASSERT_EQ(par.exit_code, 0) << par.error;
+    EXPECT_EQ(par.output, seq.output) << "--jobs " << jobs;
+  }
 }
 
 TEST(Driver, BatchEntryFailurePropagatesExitOne) {

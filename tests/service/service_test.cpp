@@ -39,7 +39,7 @@ using IntCache = MemoCache<int>;
 IntCache::Value make_int(int v) { return std::make_shared<const int>(v); }
 
 TEST(MemoCache, MissThenHit) {
-  IntCache cache(4);
+  IntCache cache;
   int computed = 0;
   auto compute = [&] {
     ++computed;
@@ -53,43 +53,6 @@ TEST(MemoCache, MissThenHit) {
   EXPECT_EQ(computed, 1);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.stats().evictions, 0);
-}
-
-TEST(MemoCache, EvictsLeastRecentlyUsed) {
-  IntCache cache(2);
-  auto fill = [&](const std::string& k, int v) {
-    cache.get(k, [&] { return make_int(v); });
-  };
-  fill("a", 1);
-  fill("b", 2);
-  cache.get("a", [] { return make_int(-1); });  // touch a: b becomes LRU
-  fill("c", 3);                                 // evicts b
-  EXPECT_TRUE(cache.contains("a"));
-  EXPECT_FALSE(cache.contains("b"));
-  EXPECT_TRUE(cache.contains("c"));
-  EXPECT_EQ(cache.stats().evictions, 1);
-  // An evicted value held by a caller stays valid (shared ownership).
-  auto held = cache.get("c", [] { return make_int(-1); });
-  fill("d", 4);
-  fill("e", 5);
-  EXPECT_EQ(*held, 3);
-}
-
-TEST(MemoCache, ContainsNeverCountsOrTouches) {
-  IntCache cache(2);
-  cache.get("a", [] { return make_int(1); });
-  cache.get("b", [] { return make_int(2); });
-  // contains(a) must NOT refresh a's recency: b is the newer entry, so a is
-  // still the LRU victim.
-  EXPECT_TRUE(cache.contains("a"));
-  EXPECT_FALSE(cache.contains("zzz"));
-  cache.get("c", [] { return make_int(3); });
-  EXPECT_FALSE(cache.contains("a"));
-  EXPECT_TRUE(cache.contains("b"));
-  LevelStats s = cache.stats();
-  EXPECT_EQ(s.hits, 0);
-  EXPECT_EQ(s.misses, 3);
 }
 
 TEST(MemoCache, CoalescingCountersAreSchedulingIndependent) {
@@ -98,7 +61,7 @@ TEST(MemoCache, CoalescingCountersAreSchedulingIndependent) {
   const int kThreads = 8;
   const int kRounds = 20;
   for (int round = 0; round < kRounds; ++round) {
-    IntCache cache(4);
+    IntCache cache;
     std::atomic<int> computed{0};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -119,17 +82,18 @@ TEST(MemoCache, CoalescingCountersAreSchedulingIndependent) {
 }
 
 TEST(MemoCache, ThrowingComputeAbandonsTheSlot) {
-  IntCache cache(4);
+  IntCache cache;
   EXPECT_THROW(cache.get("k",
                          []() -> IntCache::Value {
                            throw std::runtime_error("boom");
                          }),
                std::runtime_error);
-  EXPECT_FALSE(cache.contains("k"));
-  // The key is computable again afterwards.
+  // No slot is left behind: the next get computes again and is a miss.
   bool hit = true;
   EXPECT_EQ(*cache.get("k", [] { return make_int(9); }, &hit), 9);
   EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.stats().hits, 0);
 }
 
 // ------------------------------------------------------------ service.hpp
@@ -284,27 +248,6 @@ TEST(Service, RunReportsPerRequestDelta) {
   EXPECT_EQ(after_fe.placements.misses, after_warm.placements.misses);
 }
 
-TEST(Service, ResultLevelMemoizesRenderedActions) {
-  Service svc;
-  std::atomic<int> computed{0};
-  auto compute = [&] {
-    ++computed;
-    return ActionResult{1, "out", "err"};
-  };
-  bool reused = true;
-  auto a = svc.result("action-key", compute, &reused);
-  EXPECT_FALSE(reused);
-  EXPECT_FALSE(svc.has_result("missing"));
-  EXPECT_TRUE(svc.has_result("action-key"));
-  auto b = svc.result("action-key", compute, &reused);
-  EXPECT_TRUE(reused);
-  EXPECT_EQ(computed.load(), 1);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(b->exit_code, 1);
-  EXPECT_EQ(b->output, "out");
-  EXPECT_EQ(b->error, "err");
-}
-
 TEST(Service, ConcurrentIdenticalRequestsCoalesce) {
   // The determinism backbone of `mptool batch`: N concurrent identical
   // requests produce exactly one compile and one enumeration, with
@@ -340,23 +283,6 @@ TEST(Service, BuildErrorsAreCachedToo) {
   auto again = svc.compile("this is not fortran\n", lang::testt_spec(), &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(bad.get(), again.get());
-}
-
-TEST(Service, CompileEvictionIsBoundedByConfig) {
-  ServiceConfig cfg;
-  cfg.compile_capacity = 2;
-  Service svc(cfg);
-  // Three distinct bad programs (cheap to compile) through a capacity-2
-  // level: one eviction, and the evicted key misses again.
-  svc.compile("bad one\n", "spec\n");
-  svc.compile("bad two\n", "spec\n");
-  svc.compile("bad three\n", "spec\n");
-  CacheStats s = svc.stats();
-  EXPECT_EQ(s.compile.misses, 3);
-  EXPECT_EQ(s.compile.evictions, 1);
-  bool hit = true;
-  svc.compile("bad one\n", "spec\n", &hit);  // was evicted (LRU)
-  EXPECT_FALSE(hit);
 }
 
 }  // namespace
