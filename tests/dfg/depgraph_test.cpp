@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "lang/corpus.hpp"
 #include "lang/parser.hpp"
 
@@ -259,6 +262,117 @@ TEST(DepGraph, TesttScatterLoopCarriesOnlyAllowedDeps) {
     bool expected = d->var == "new" || d->var == "s1" || d->var == "s2" ||
                     d->var == "s3" || d->var == "vm";
     EXPECT_TRUE(expected) << to_string(d->kind) << " dep on " << d->var;
+  }
+}
+
+TEST(DepGraph, AntiDependenceAcrossGotoBackEdgeOnly) {
+  // x is read after its only definition, so the use reaches the def only
+  // around the GOTO back edge: the anti dependence appears on the second
+  // pass of the exposed-use dataflow, never on the first.
+  auto b = build(
+      "      subroutine foo(a,b,eps)\n"
+      "      real a,b,eps,x\n"
+      "100   x = a\n"
+      "      b = b + x\n"
+      "      if (b .lt. eps) goto 100\n"
+      "      end\n");
+  const auto& s = b.cfg.statements();
+  const Dependence* anti = find_dep(b.dg, DepKind::kAnti, s[1], s[0], "x");
+  ASSERT_NE(anti, nullptr);
+  EXPECT_FALSE(anti->is_carried());  // no DO loop encloses the GOTO cycle
+  // The same flow gives b's read its anti dependence on b's own write.
+  EXPECT_NE(find_dep(b.dg, DepKind::kAnti, s[1], s[1], "b"), nullptr);
+}
+
+TEST(DepGraph, StrongScalarRedefinitionKillsExposedUse) {
+  auto b = build(
+      "      subroutine foo(a,b,c)\n"
+      "      real a,b,c,x\n"
+      "      b = x\n"
+      "      x = a\n"
+      "      x = c\n"
+      "      end\n");
+  const auto& s = b.cfg.statements();
+  EXPECT_NE(find_dep(b.dg, DepKind::kAnti, s[0], s[1], "x"), nullptr);
+  // The scalar write x = a kills the exposed read of x: nothing past it
+  // is anti-dependent on that read.
+  EXPECT_EQ(find_dep(b.dg, DepKind::kAnti, s[0], s[2], "x"), nullptr);
+}
+
+TEST(DepGraph, TwoReadsOfOneArrayGiveOneAntiDependence) {
+  // c(i) = a(i) + a(i+1) reads a twice; the later write a(i) overwrites
+  // both. Statements are the dependence units, so there is one anti
+  // dependence, and it uses find_access's choice (the last elementwise
+  // read, a(i+1)): distance +1, carried forward by the loop.
+  auto b = build(
+      "      subroutine foo(n,bb,c)\n"
+      "      integer n,i\n"
+      "      real a(11),bb(10),c(10)\n"
+      "      do i = 1,n\n"
+      "        c(i) = a(i) + a(i+1)\n"
+      "        a(i) = bb(i)\n"
+      "      end do\n"
+      "      end\n");
+  const auto& s = b.cfg.statements();
+  const lang::Stmt* loop = s[0];
+  int count = 0;
+  for (const auto& d : b.dg.all())
+    if (d.kind == DepKind::kAnti && d.src == s[1] && d.dst == s[2] &&
+        d.var == "a")
+      ++count;
+  EXPECT_EQ(count, 1);
+  const Dependence* anti = find_dep(b.dg, DepKind::kAnti, s[1], s[2], "a");
+  ASSERT_NE(anti, nullptr);
+  ASSERT_EQ(anti->carried_by.size(), 1u);
+  EXPECT_EQ(anti->carried_by[0], loop);
+}
+
+/// FNV-1a over the ordered list: (kind, var, src id, dst id, carried_by
+/// ids) per dependence, with -1 for the entry and exit endpoints.
+std::uint64_t hash_deps(const DepGraph& dg) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto feed = [&](const std::string& field) {
+    for (unsigned char c : field) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    h ^= 0xff;  // field separator: no field contains this byte
+    h *= 1099511628211ull;
+  };
+  for (const Dependence& d : dg.all()) {
+    feed(to_string(d.kind));
+    feed(d.var);
+    feed(std::to_string(d.src ? d.src->id : -1));
+    feed(std::to_string(d.dst ? d.dst->id : -1));
+    std::string carried;
+    for (const lang::Stmt* l : d.carried_by)
+      carried += std::to_string(l->id) + ",";
+    feed(carried);
+  }
+  return h;
+}
+
+TEST(DepGraph, SyntheticDependenceListIsPinned) {
+  // The ordered dependence list of the synthetic corpus, pinned by hash:
+  // any change to which dependences exist, their carrying loops or their
+  // order shows up here (DESIGN.md §5).
+  struct Pin {
+    int stages;
+    std::size_t count;
+    std::uint64_t hash;
+  };
+  const Pin pinned[] = {
+      {1, 168, 0x6a91ce53e23422e9ull},
+      {3, 448, 0xfb7ff4af245a9e6eull},
+      {9, 1960, 0x8fd3743f1ad5029eull},
+      {24, 10150, 0x55092ae9b325320full},
+      {32, 17094, 0x8286b943b3dec6a3ull},
+  };
+  for (const Pin& pin : pinned) {
+    SCOPED_TRACE(pin.stages);
+    auto b = build(lang::synthetic_source(pin.stages));
+    EXPECT_EQ(b.dg.all().size(), pin.count);
+    EXPECT_EQ(hash_deps(b.dg), pin.hash);
   }
 }
 
