@@ -1,9 +1,12 @@
 #include "dfg/depgraph.hpp"
 
 #include <algorithm>
-#include <map>
+#include <bit>
+#include <cstdint>
 #include <set>
-#include <tuple>
+#include <span>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "dfg/loopflow.hpp"
 
@@ -37,27 +40,29 @@ Direction direction_on(const VarAccess* sa, const VarAccess* da,
   return Direction::kCarriedForward;
 }
 
-/// Common enclosing DO loops of two statements.
-std::vector<const Stmt*> common_loops(const Cfg& cfg, const Stmt* src,
-                                      const Stmt* dst) {
-  std::vector<const Stmt*> out;
-  if (!src || !dst) return out;
-  auto src_chain = cfg.do_chain(*src);
-  auto dst_chain = cfg.do_chain(*dst);
-  for (const Stmt* loop : src_chain)
-    if (std::find(dst_chain.begin(), dst_chain.end(), loop) !=
-        dst_chain.end())
-      out.push_back(loop);
-  return out;
+/// DO chains of every statement (outermost first), indexed by Stmt::id.
+using LoopChains = std::vector<std::vector<const Stmt*>>;
+
+/// Common enclosing DO loops of two statements, outermost first. DO loops
+/// nest as a tree, so these are the shared prefix of the two chains.
+std::span<const Stmt* const> common_loops(const LoopChains& chains,
+                                          const Stmt* src, const Stmt* dst) {
+  if (!src || !dst) return {};
+  const auto& a = chains[src->id];
+  const auto& b = chains[dst->id];
+  std::size_t k = 0;
+  while (k < a.size() && k < b.size() && a[k] == b[k]) ++k;
+  return {a.data(), k};
 }
 
 /// Computes the DO loops that carry the dependence src -> dst on `var`.
 std::vector<const Stmt*> carrying_loops(
-    const Cfg& cfg, const std::vector<StmtDefUse>& defuse, const Stmt* src,
-    const Stmt* dst, const std::string& var, const VarAccess* src_access,
+    const Cfg& cfg, const std::vector<StmtDefUse>& defuse,
+    std::span<const Stmt* const> loops, const Stmt* src, const Stmt* dst,
+    const std::string& var, const VarAccess* src_access,
     const VarAccess* dst_access) {
   std::vector<const Stmt*> out;
-  for (const Stmt* loop : common_loops(cfg, src, dst)) {
+  for (const Stmt* loop : loops) {
     switch (direction_on(src_access, dst_access, loop)) {
       case Direction::kIndependent:
         continue;  // same element each time around
@@ -85,38 +90,63 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
                          const std::vector<StmtDefUse>& defuse) {
   DepGraph g;
   ReachingDefs rd = ReachingDefs::solve(sub, cfg, defuse);
+  const std::vector<Stmt*>& stmts = cfg.statements();  // index = Stmt::id
 
-  // Deduplication key: (kind, src id, dst id, var).
-  std::set<std::tuple<int, int, int, std::string>> seen;
-  auto add = [&](DepKind kind, const Stmt* src, const Stmt* dst,
-                 const std::string& var, const VarAccess* sa,
-                 const VarAccess* da) {
+  // Variables interned to dense ids; id 0 is "", the control dependences'.
+  std::vector<std::string> names{""};
+  std::unordered_map<std::string, int> var_ids{{"", 0}};
+  auto intern = [&](const std::string& var) {
+    if (var_ids.try_emplace(var, static_cast<int>(names.size())).second)
+      names.push_back(var);
+  };
+  for (const StmtDefUse& du : defuse) {
+    if (du.def) intern(du.def->var);
+    for (const auto& use : du.uses) intern(use.var);
+  }
+
+  LoopChains chains(stmts.size());
+  for (const Stmt* s : stmts) chains[s->id] = cfg.do_chain(*s);
+
+  // Deduplication key (kind, src, dst, var) packed into one integer, with
+  // statement id + 1 as the endpoint so that entry/exit (nullptr) is 0.
+  const std::uint64_t n_ends = stmts.size() + 1;
+  const std::uint64_t n_vars = names.size();
+  std::unordered_set<std::uint64_t> seen;
+  auto add = [&](DepKind kind, const Stmt* src, const Stmt* dst, int var,
+                 const VarAccess* sa, const VarAccess* da) {
+    std::uint64_t key = static_cast<std::uint64_t>(kind);
+    key = key * n_ends + (src ? src->id + 1 : 0);
+    key = key * n_ends + (dst ? dst->id + 1 : 0);
+    key = key * n_vars + var;
+    if (seen.contains(key)) return;
+    auto loops = common_loops(chains, src, dst);
     // Direction filter: a dependence between shifted elementwise accesses
     // with negative iteration distance would flow backwards in time — it
     // does not exist. (a(i) = ...; ... = a(i+1) has only the anti
-    // dependence, not a true one.)
+    // dependence, not a true one.) The same key may come back with other
+    // accesses, so a filtered offer is not remembered.
     if (kind != DepKind::kControl) {
-      for (const Stmt* loop : common_loops(cfg, src, dst)) {
+      for (const Stmt* loop : loops) {
         if (direction_on(sa, da, loop) == Direction::kImpossible) return;
       }
     }
-    int sid = src ? src->id : -1;
-    int did = dst ? dst->id : -1;
-    if (!seen.insert({static_cast<int>(kind), sid, did, var}).second) return;
+    seen.insert(key);
     Dependence d;
     d.kind = kind;
     d.src = src;
     d.dst = dst;
-    d.var = var;
+    d.var = names[var];
     if (kind != DepKind::kControl)
-      d.carried_by = carrying_loops(cfg, defuse, src, dst, var, sa, da);
+      d.carried_by =
+          carrying_loops(cfg, defuse, loops, src, dst, d.var, sa, da);
     g.deps_.push_back(std::move(d));
   };
 
   // ---- true dependences (def -> use) ----
-  for (const Stmt* s : cfg.statements()) {
+  for (const Stmt* s : stmts) {
     const StmtDefUse& du = defuse[s->id];
     for (const auto& use : du.uses) {
+      const int var = var_ids.at(use.var);
       for (int def_id : rd.reaching(*s, use.var)) {
         const Definition& def = rd.definitions()[def_id];
         const VarAccess* sa = nullptr;
@@ -124,15 +154,16 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
           const StmtDefUse& sdu = defuse[def.stmt->id];
           sa = sdu.def ? &*sdu.def : nullptr;
         }
-        add(DepKind::kTrue, def.stmt, s, use.var, sa, &use);
+        add(DepKind::kTrue, def.stmt, s, var, sa, &use);
       }
     }
   }
 
   // ---- output dependences (def -> def) ----
-  for (const Stmt* s : cfg.statements()) {
+  for (const Stmt* s : stmts) {
     const StmtDefUse& du = defuse[s->id];
     if (!du.def) continue;
+    const int var = var_ids.at(du.def->var);
     for (int def_id : rd.reaching(*s, du.def->var)) {
       const Definition& def = rd.definitions()[def_id];
       if (def.stmt == s) continue;  // self via reflexivity is the true dep's job
@@ -141,51 +172,71 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
         const StmtDefUse& sdu = defuse[def.stmt->id];
         sa = sdu.def ? &*sdu.def : nullptr;
       }
-      add(DepKind::kOutput, def.stmt, s, du.def->var, sa, &*du.def);
+      add(DepKind::kOutput, def.stmt, s, var, sa, &*du.def);
     }
   }
 
   // ---- anti dependences (use -> later def) ----
-  // Forward dataflow of exposed uses: a pair (use-stmt, var) flows until the
-  // variable is strongly redefined.
+  // Forward dataflow of exposed uses over bitsets: a use record (stmt,
+  // var) flows until the variable is strongly redefined. Records are
+  // numbered in (stmt id, var name) order and every pass visits the nodes
+  // in order, reading the newest out-set of each predecessor. A defining
+  // node offers the records of its variable that reach it and that it has
+  // not offered before, in ascending record order. So each (use, def)
+  // pair reaches add() once, at the first visit it flows into the def,
+  // and the dependences come out in that order.
   {
-    using UseRec = std::pair<int, std::string>;  // stmt id, var
+    using Bits = std::vector<std::uint64_t>;
+    std::vector<std::pair<const Stmt*, int>> recs;  // (use stmt, var)
+    std::vector<std::size_t> first_rec(stmts.size() + 1, 0);
+    for (const Stmt* s : stmts) {
+      std::set<std::string> vars;
+      for (const auto& use : defuse[s->id].uses) vars.insert(use.var);
+      for (const std::string& v : vars) recs.emplace_back(s, var_ids.at(v));
+      first_rec[s->id + 1] = recs.size();
+    }
+    const std::size_t words = (recs.size() + 63) / 64;
+    std::vector<Bits> var_mask(n_vars, Bits(words));
+    for (std::size_t r = 0; r < recs.size(); ++r)
+      var_mask[recs[r].second][r / 64] |= std::uint64_t{1} << (r % 64);
+
     const int n = cfg.num_nodes();
-    std::vector<std::set<UseRec>> out_sets(n);
+    std::vector<Bits> out(n, Bits(words));
+    std::vector<Bits> reported(n, Bits(words));
+    Bits in(words);
     bool changed = true;
     while (changed) {
       changed = false;
       for (NodeId node = 0; node < n; ++node) {
-        std::set<UseRec> in_set;
-        for (NodeId p : cfg.preds(node)) {
-          in_set.insert(out_sets[p].begin(), out_sets[p].end());
-        }
-        const Stmt* s = cfg.stmt(node);
-        std::set<UseRec> new_out = in_set;
-        if (s) {
+        std::fill(in.begin(), in.end(), 0);
+        for (NodeId p : cfg.preds(node))
+          for (std::size_t w = 0; w < words; ++w) in[w] |= out[p][w];
+        if (const Stmt* s = cfg.stmt(node)) {
           const StmtDefUse& du = defuse[s->id];
           if (du.def) {
             // Flowing uses of this variable are overwritten here: anti deps.
-            for (const auto& rec : in_set) {
-              if (rec.second != du.def->var) continue;
-              const Stmt* use_stmt = cfg.statements()[rec.first];
-              const StmtDefUse& udu = defuse[use_stmt->id];
-              add(DepKind::kAnti, use_stmt, s, rec.second,
-                  find_access(udu.uses, rec.second), &*du.def);
-            }
-            if (du.kills()) {
-              for (auto it = new_out.begin(); it != new_out.end();) {
-                if (it->second == du.def->var)
-                  it = new_out.erase(it);
-                else
-                  ++it;
+            const int var = var_ids.at(du.def->var);
+            const Bits& mask = var_mask[var];
+            Bits& done = reported[node];
+            for (std::size_t w = 0; w < words; ++w) {
+              std::uint64_t fresh = in[w] & mask[w] & ~done[w];
+              done[w] |= fresh;
+              for (; fresh; fresh &= fresh - 1) {
+                const Stmt* use_stmt =
+                    recs[w * 64 + std::countr_zero(fresh)].first;
+                add(DepKind::kAnti, use_stmt, s, var,
+                    find_access(defuse[use_stmt->id].uses, du.def->var),
+                    &*du.def);
               }
             }
+            if (du.kills())
+              for (std::size_t w = 0; w < words; ++w) in[w] &= ~mask[w];
           }
-          for (const auto& use : du.uses) new_out.insert({s->id, use.var});
+          for (std::size_t r = first_rec[s->id]; r < first_rec[s->id + 1]; ++r)
+            in[r / 64] |= std::uint64_t{1} << (r % 64);
         }
-        if (new_out != out_sets[node]) {
-          out_sets[node] = std::move(new_out);
+        if (in != out[node]) {
+          out[node].swap(in);
           changed = true;
         }
       }
@@ -203,20 +254,13 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
       for (NodeId x = b; x != stop && x != -1; x = cfg.ipdom()[x]) {
         const Stmt* dst = cfg.stmt(x);
         if (dst && dst != src)
-          add(DepKind::kControl, src, dst, "", nullptr, nullptr);
+          add(DepKind::kControl, src, dst, 0, nullptr, nullptr);
         if (x == cfg.ipdom()[x]) break;  // safety against degenerate chains
       }
     }
   }
 
   return g;
-}
-
-std::vector<const Dependence*> DepGraph::of_kind(DepKind k) const {
-  std::vector<const Dependence*> out;
-  for (const auto& d : deps_)
-    if (d.kind == k) out.push_back(&d);
-  return out;
 }
 
 std::vector<const Dependence*> DepGraph::carried_by(
@@ -226,14 +270,6 @@ std::vector<const Dependence*> DepGraph::carried_by(
     if (std::find(d.carried_by.begin(), d.carried_by.end(), &loop) !=
         d.carried_by.end())
       out.push_back(&d);
-  return out;
-}
-
-std::vector<const Dependence*> DepGraph::controlling(
-    const lang::Stmt& s) const {
-  std::vector<const Dependence*> out;
-  for (const auto& d : deps_)
-    if (d.kind == DepKind::kControl && d.dst == &s) out.push_back(&d);
   return out;
 }
 

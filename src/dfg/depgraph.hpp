@@ -43,15 +43,9 @@ class DepGraph {
 
   [[nodiscard]] const std::vector<Dependence>& all() const { return deps_; }
 
-  [[nodiscard]] std::vector<const Dependence*> of_kind(DepKind k) const;
-
   /// Dependences carried by the given DO loop.
   [[nodiscard]] std::vector<const Dependence*> carried_by(
       const lang::Stmt& loop) const;
-
-  /// Control dependences whose destination is `s`.
-  [[nodiscard]] std::vector<const Dependence*> controlling(
-      const lang::Stmt& s) const;
 
  private:
   std::vector<Dependence> deps_;

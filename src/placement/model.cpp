@@ -2,6 +2,7 @@
 
 #include "automaton/library.hpp"
 #include "lang/parser.hpp"
+#include "support/trace.hpp"
 
 namespace meshpar::placement {
 
@@ -24,12 +25,28 @@ std::unique_ptr<ProgramModel> ProgramModel::build(std::string_view source,
   }
   m->autom_ = std::move(*autom);
 
-  m->cfg_ = dfg::Cfg::build(m->sub_, diags);
+  // One span per front-end layer, named like the benchmark's layers.
+  {
+    trace::Span span("dfg.cfg", "dfg");
+    m->cfg_ = dfg::Cfg::build(m->sub_, diags);
+  }
   if (diags.has_errors()) return nullptr;
-  m->defuse_ = dfg::analyze_defuse(m->sub_, m->cfg_);
-  m->deps_ = dfg::DepGraph::build(m->sub_, m->cfg_, m->defuse_);
-  m->reaching_ = dfg::ReachingDefs::solve(m->sub_, m->cfg_, m->defuse_);
-  m->patterns_ = dfg::Patterns::detect(m->sub_, m->cfg_, m->defuse_);
+  {
+    trace::Span span("dfg.defuse", "dfg");
+    m->defuse_ = dfg::analyze_defuse(m->sub_, m->cfg_);
+  }
+  {
+    trace::Span span("dfg.depgraph", "dfg");
+    m->deps_ = dfg::DepGraph::build(m->sub_, m->cfg_, m->defuse_);
+  }
+  {
+    trace::Span span("dfg.reaching", "dfg");
+    m->reaching_ = dfg::ReachingDefs::solve(m->sub_, m->cfg_, m->defuse_);
+  }
+  {
+    trace::Span span("dfg.patterns", "dfg");
+    m->patterns_ = dfg::Patterns::detect(m->sub_, m->cfg_, m->defuse_);
+  }
 
   for (const lang::Stmt* s : m->cfg_.statements()) {
     if (s->kind != lang::StmtKind::kDo) continue;

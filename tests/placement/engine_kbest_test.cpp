@@ -34,8 +34,12 @@
 #endif
 #ifdef MP_SANITIZED_BUILD
 constexpr int kLargeStages = 6;
+// The retention bound needs more raw solutions than 6 stages give (1,024);
+// 7 stages give 2,048.
+constexpr int kRetentionStages = 7;
 #else
 constexpr int kLargeStages = 12;
+constexpr int kRetentionStages = kLargeStages;
 #endif
 
 namespace meshpar::placement {
@@ -225,8 +229,8 @@ TEST(KBest, UnboundedKEqualsLegacyRanking) {
 }
 
 TEST(KBest, PeakRetentionIsBoundedByJobsTimesK) {
-  Built b = build(lang::synthetic_source(kLargeStages),
-                  lang::synthetic_spec(kLargeStages));
+  Built b = build(lang::synthetic_source(kRetentionStages),
+                  lang::synthetic_spec(kRetentionStages));
   ASSERT_NE(b.engine, nullptr) << b.diags.str();
   const std::size_t k = 16;
   std::size_t raw = 0;
