@@ -178,6 +178,14 @@ class Engine {
   [[nodiscard]] const automaton::OverlapTransition* transition_for(
       const Assignment& assignment, const FlowArrow& a) const;
 
+  /// The transitions the search allows on the arrow with this id: the
+  /// filtered per-arrow table transition_for looks pairs up in, in
+  /// automaton order.
+  [[nodiscard]] const std::vector<const automaton::OverlapTransition*>&
+  legal_transitions(int arrow) const {
+    return legal_trans_[static_cast<std::size_t>(arrow)];
+  }
+
   /// The observable placement projection of a full assignment: one byte
   /// per action-varying true-dependence arrow (the chosen comm action) and
   /// one per level-varying domain-relevant write occurrence (the chosen

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <charconv>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 namespace meshpar::placement {
@@ -39,23 +41,45 @@ const char* to_string(MaterializeFailure f) {
 }
 
 std::string Placement::key() const {
-  std::vector<std::string> parts;
+  // One part per sync ("S:<action>:<var>:<before id, -1 = end>") and per
+  // domain ("D:<loop id>:<layers>"), appended into one buffer, then sorted
+  // and joined with ';'.
+  std::string text;
+  text.reserve(24 * (syncs.size() + domains.size()));
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  spans.reserve(syncs.size() + domains.size());
+  auto num = [&text](int v) {
+    char buf[16];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    text.append(buf, res.ptr);
+  };
   for (const auto& s : syncs) {
-    std::ostringstream os;
-    os << "S:" << static_cast<int>(s.action) << ":" << s.var << ":"
-       << (s.before ? s.before->id : -1);
-    parts.push_back(os.str());
+    const std::size_t at = text.size();
+    text += "S:";
+    num(static_cast<int>(s.action));
+    text += ':';
+    text += s.var;
+    text += ':';
+    num(s.before ? s.before->id : -1);
+    spans.emplace_back(at, text.size() - at);
   }
   for (const auto& d : domains) {
-    std::ostringstream os;
-    os << "D:" << d.loop->id << ":" << d.layers;
-    parts.push_back(os.str());
+    const std::size_t at = text.size();
+    text += "D:";
+    num(d.loop->id);
+    text += ':';
+    num(d.layers);
+    spans.emplace_back(at, text.size() - at);
   }
+  std::vector<std::string_view> parts;
+  parts.reserve(spans.size());
+  for (const auto& [at, len] : spans) parts.emplace_back(text.data() + at, len);
   std::sort(parts.begin(), parts.end());
   std::string out;
-  for (const auto& p : parts) {
-    out += p;
-    out += ";";
+  out.reserve(text.size() + parts.size());
+  for (std::string_view part : parts) {
+    out += part;
+    out += ';';
   }
   return out;
 }
@@ -79,7 +103,7 @@ std::size_t Placement::syncs_in_cycle() const {
   return n;
 }
 
-MaterializeCache::MaterializeCache(const Engine& engine) : eng_(engine) {
+MaterializeCache::MaterializeCache(const Engine& engine) {
   const ProgramModel& m = engine.model();
   const FlowGraph& fg = engine.fg();
   const auto& autom = m.autom();
@@ -133,15 +157,27 @@ MaterializeCache::MaterializeCache(const Engine& engine) : eng_(engine) {
     loops_.push_back(std::move(li));
   }
 
-  // ---- candidate sync points and per-arrow cut sets ----
-  // Candidates: statements outside every partitioned loop, plus the
-  // pseudo-point "end of subroutine" (nullptr).
-  std::vector<const Stmt*> candidates;
-  for (const Stmt* s : m.cfg().statements())
-    if (!m.enclosing_partitioned(*s)) candidates.push_back(s);
-  cycle_of_[nullptr] = false;
-  for (const Stmt* s : candidates)
-    cycle_of_[s] = m.cfg().reaches(m.cfg().node_of(*s), m.cfg().node_of(*s));
+  // ---- candidate sync points, in program order with the pseudo-point
+  // "end of subroutine" (nullptr) last: statements outside every
+  // partitioned loop ----
+  for (const Stmt* s : m.cfg().statements()) {
+    if (m.enclosing_partitioned(*s)) continue;
+    const NodeId n = m.cfg().node_of(*s);
+    cands_.push_back({s, s->id, m.cfg().reaches(n, n)});
+  }
+  cands_.push_back({nullptr, 1 << 30, false});
+  cut_words_ = (cands_.size() + 63) / 64;
+
+  nstates_ = static_cast<int>(autom.states().size());
+  for (const auto& st : autom.states()) level_.push_back(st.level);
+
+  // ---- per true-dependence arrow: interned variable, cut bitset and
+  // action table. Variables are interned in string order so that group
+  // ids (variable, action) ascend in the order syncs are emitted. ----
+  for (const FlowArrow& a : fg.arrows())
+    if (a.kind == automaton::ArrowKind::kTrue) vars_.push_back(a.var);
+  std::sort(vars_.begin(), vars_.end());
+  vars_.erase(std::unique(vars_.begin(), vars_.end()), vars_.end());
 
   auto endpoint = [&](const Occurrence& o, bool is_src) {
     if (o.stmt) return m.cfg().node_of(*o.stmt);
@@ -156,89 +192,112 @@ MaterializeCache::MaterializeCache(const Engine& engine) : eng_(engine) {
     if (tn == src) return false;  // before the definition itself
     return !m.cfg().reaches(src, dst, tn);
   };
+  const auto ns = static_cast<std::size_t>(nstates_);
   for (const FlowArrow& a : fg.arrows()) {
     if (a.kind != automaton::ArrowKind::kTrue) continue;
     TrueArrow ta;
-    ta.arrow = &a;
+    ta.src = a.src;
+    ta.dst = a.dst;
+    ta.var = static_cast<int>(
+        std::lower_bound(vars_.begin(), vars_.end(), a.var) - vars_.begin());
     const NodeId src = endpoint(fg.occ(a.src), /*is_src=*/true);
     const NodeId dst = endpoint(fg.occ(a.dst), /*is_src=*/false);
-    for (const Stmt* t : candidates)
-      if (intercepts(t, src, dst)) ta.cuts.push_back(t);
-    if (intercepts(nullptr, src, dst)) ta.cuts.push_back(nullptr);
-    true_arrows_.push_back(std::move(ta));
+    ta.cut_at = cuts_.size();
+    cuts_.resize(cuts_.size() + cut_words_, 0);
+    for (std::size_t c = 0; c < cands_.size(); ++c) {
+      if (!intercepts(cands_[c].before, src, dst)) continue;
+      cuts_[ta.cut_at + c / 64] |= std::uint64_t{1} << (c % 64);
+      ta.cuttable = true;
+    }
+    // The engine-filtered relation: an Update both of whose endpoints sit
+    // in one partitioned loop is unhostable and never appears here. The
+    // first legal transition of a pair wins, as in transition_for.
+    ta.act_at = actions_.size();
+    actions_.resize(actions_.size() + ns * ns, kNoAction);
+    for (const automaton::OverlapTransition* t :
+         engine.legal_transitions(a.id)) {
+      std::uint8_t& code =
+          actions_[ta.act_at + static_cast<std::size_t>(t->from) * ns +
+                   static_cast<std::size_t>(t->to)];
+      if (code == kNoAction) code = static_cast<std::uint8_t>(t->action);
+    }
+    true_arrows_.push_back(ta);
   }
 }
 
 /// Greedy minimal cover, preferring the latest point in program order —
 /// this merges communications toward their uses, the grouping the paper's
-/// Figure 9 solution exhibits. `sets` holds one precomputed cut set per
-/// def-use pair.
-bool MaterializeCache::cover(
-    const std::vector<const std::vector<const Stmt*>*>& sets,
-    std::vector<const Stmt*>& chosen) const {
-  for (const auto* c : sets)
-    if (c->empty()) return false;
-  std::vector<bool> covered(sets.size(), false);
-  while (true) {
-    std::size_t remaining = 0;
-    for (bool b : covered)
-      if (!b) ++remaining;
-    if (remaining == 0) break;
+/// Figure 9 solution exhibits. The group is scratch.updates[begin, end):
+/// true arrows of one (variable, action), each with its cut bitset.
+bool MaterializeCache::cover(std::size_t begin, std::size_t end,
+                             Scratch& sc) const {
+  const int group = sc.updates[begin].first;
+  auto arrow = [&](std::size_t j) -> const TrueArrow& {
+    return true_arrows_[static_cast<std::size_t>(sc.updates[begin + j].second)];
+  };
+  const std::size_t members = end - begin;
+  for (std::size_t j = 0; j < members; ++j)
+    if (!arrow(j).cuttable) return false;
+  sc.covered.assign(members, 0);
+  sc.counts.resize(cands_.size());
+  std::size_t remaining = members;
+  while (remaining != 0) {
+    std::fill(sc.counts.begin(), sc.counts.end(), 0);
+    for (std::size_t j = 0; j < members; ++j) {
+      if (sc.covered[j]) continue;
+      const std::uint64_t* bits = &cuts_[arrow(j).cut_at];
+      for (std::size_t w = 0; w < cut_words_; ++w)
+        for (std::uint64_t b = bits[w]; b != 0; b &= b - 1)
+          ++sc.counts[w * 64 + static_cast<std::size_t>(std::countr_zero(b))];
+    }
     // Pick the candidate covering the most uncovered pairs; ties go to the
-    // latest statement (nullptr = very end counts as latest). Statement
-    // ids make the (count, rank) order strict, so the scan order over the
-    // candidate set cannot influence the winner.
-    const Stmt* best = nullptr;
-    std::size_t best_count = 0;
+    // latest statement (the end of the subroutine counts as latest).
+    // Statement ids make the (count, rank) order strict, so the scan order
+    // over the candidates cannot influence the winner.
+    int best = -1;
+    int best_count = 0;
     int best_rank = -2;
-    std::set<const Stmt*> all;
-    for (std::size_t i = 0; i < sets.size(); ++i)
-      if (!covered[i])
-        for (const Stmt* t : *sets[i]) all.insert(t);
-    for (const Stmt* t : all) {
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < sets.size(); ++i) {
-        if (covered[i]) continue;
-        if (std::find(sets[i]->begin(), sets[i]->end(), t) != sets[i]->end())
-          ++count;
-      }
-      const int rank = t ? t->id : 1 << 30;  // end-of-program is last
-      if (count > best_count || (count == best_count && rank > best_rank)) {
-        best = t;
+    for (std::size_t c = 0; c < cands_.size(); ++c) {
+      const int count = sc.counts[c];
+      if (count == 0) continue;
+      if (count > best_count ||
+          (count == best_count && cands_[c].rank > best_rank)) {
+        best = static_cast<int>(c);
         best_count = count;
-        best_rank = rank;
+        best_rank = cands_[c].rank;
       }
     }
-    if (best_count == 0) return false;
-    chosen.push_back(best);
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      if (covered[i]) continue;
-      if (std::find(sets[i]->begin(), sets[i]->end(), best) !=
-          sets[i]->end())
-        covered[i] = true;
+    if (best < 0) return false;
+    sc.chosen.emplace_back(group, best);
+    const std::size_t word = static_cast<std::size_t>(best) / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (best % 64);
+    for (std::size_t j = 0; j < members; ++j) {
+      if (sc.covered[j]) continue;
+      if (cuts_[arrow(j).cut_at + word] & bit) {
+        sc.covered[j] = 1;
+        --remaining;
+      }
     }
   }
   return true;
 }
 
-std::optional<Placement> MaterializeCache::run(
-    const Assignment& asg, MaterializeFailure* failure) const {
+std::optional<double> MaterializeCache::cost_of(
+    const Assignment& asg, Scratch& sc, MaterializeFailure* failure) const {
   auto fail = [&](MaterializeFailure f) {
     if (failure) *failure = f;
     return std::nullopt;
   };
   if (failure) *failure = MaterializeFailure::kNone;
-  const auto& autom = eng_.model().autom();
-
-  Placement p;
-  p.assignment = asg;
 
   // ---- iteration domains from M_n ----
+  sc.layers.clear();
   for (const LoopInfo& li : loops_) {
     std::optional<int> layers = li.fixed;
     bool conflict = li.conflict;
     for (const DomainReq& r : li.reqs) {
-      const int level = autom.state(asg.state_of[r.occ]).level;
+      const int level = level_[static_cast<std::size_t>(
+          asg.state_of[static_cast<std::size_t>(r.occ)])];
       const int k = depth_ - level + r.adjust;
       if (k < 0 || k > depth_) {
         conflict = true;
@@ -249,60 +308,104 @@ std::optional<Placement> MaterializeCache::run(
       }
     }
     if (conflict) return fail(MaterializeFailure::kDomainConflict);
-    p.domains.push_back({li.loop, layers.value_or(0)});
+    sc.layers.push_back(layers.value_or(0));
   }
 
   // ---- sync points from M_a: group Update arrows by (variable, action),
   // cover each group's def-use pairs with the cached cut sets ----
-  std::map<std::pair<std::string, int>,
-           std::vector<const std::vector<const Stmt*>*>>
-      groups;
-  for (const TrueArrow& ta : true_arrows_) {
-    // Engine-filtered lookup: an Update both of whose endpoints sit in one
-    // partitioned loop is unhostable and must not surface here.
-    const automaton::OverlapTransition* t =
-        eng_.transition_for(asg, *ta.arrow);
-    if (!t) return fail(MaterializeFailure::kNoTransition);
-    if (t->action == CommAction::kNone) continue;
-    groups[{ta.arrow->var, static_cast<int>(t->action)}].push_back(&ta.cuts);
+  sc.updates.clear();
+  const std::size_t n = asg.state_of.size();
+  const auto ns = static_cast<std::size_t>(nstates_);
+  for (std::size_t i = 0; i < true_arrows_.size(); ++i) {
+    const TrueArrow& ta = true_arrows_[i];
+    if (static_cast<std::size_t>(ta.src) >= n ||
+        static_cast<std::size_t>(ta.dst) >= n)
+      return fail(MaterializeFailure::kNoTransition);
+    const int s = asg.state_of[static_cast<std::size_t>(ta.src)];
+    const int d = asg.state_of[static_cast<std::size_t>(ta.dst)];
+    if (s < 0 || s >= nstates_ || d < 0 || d >= nstates_)
+      return fail(MaterializeFailure::kNoTransition);
+    const std::uint8_t action =
+        actions_[ta.act_at + static_cast<std::size_t>(s) * ns +
+                 static_cast<std::size_t>(d)];
+    if (action == kNoAction) return fail(MaterializeFailure::kNoTransition);
+    if (action == static_cast<std::uint8_t>(CommAction::kNone)) continue;
+    sc.updates.emplace_back(ta.var * kActions + action, static_cast<int>(i));
   }
-  for (const auto& [key, sets] : groups) {
-    std::vector<const Stmt*> chosen;
-    if (!cover(sets, chosen))
+  std::sort(sc.updates.begin(), sc.updates.end());
+  sc.chosen.clear();
+  for (std::size_t begin = 0, end = 0; begin < sc.updates.size();
+       begin = end) {
+    while (end < sc.updates.size() &&
+           sc.updates[end].first == sc.updates[begin].first)
+      ++end;
+    if (!cover(begin, end, sc))
       return fail(MaterializeFailure::kUncuttableUpdate);
-    for (const Stmt* at : chosen) {
-      SyncPoint sp;
-      sp.action = static_cast<CommAction>(key.second);
-      sp.var = key.first;
-      sp.before = at;
-      sp.in_cycle = cycle_of_.at(at);
-      p.syncs.push_back(sp);
-    }
   }
-  std::sort(p.syncs.begin(), p.syncs.end(),
-            [](const SyncPoint& a, const SyncPoint& b) {
-              const int ar = a.before ? a.before->id : 1 << 30;
-              const int br = b.before ? b.before->id : 1 << 30;
-              if (ar != br) return ar < br;
-              return a.var < b.var;
-            });
 
   // ---- cost ----
-  double cost = 0.0;
   // Communication startup per distinct location; a location inside the
-  // convergence loop pays every time step.
-  std::set<const Stmt*> locs_cycle, locs_once;
-  for (const auto& s : p.syncs)
-    (s.in_cycle ? locs_cycle : locs_once).insert(s.before);
-  cost += 10.0 * static_cast<double>(locs_cycle.size());
-  cost += 1.0 * static_cast<double>(locs_once.size());
-  // Message volume per sync.
-  for (const auto& s : p.syncs) cost += s.in_cycle ? 2.0 : 0.5;
+  // convergence loop pays every time step. Message volume per sync. Every
+  // term so far is a multiple of 0.5, so the sum is exact in any order.
+  sc.counts.assign(cands_.size(), 0);  // reused: location already counted
+  std::size_t locs_cycle = 0;
+  std::size_t locs_once = 0;
+  double volume = 0.0;
+  for (const auto& [group, c] : sc.chosen) {
+    const Candidate& cand = cands_[static_cast<std::size_t>(c)];
+    volume += cand.in_cycle ? 2.0 : 0.5;
+    if (std::exchange(sc.counts[static_cast<std::size_t>(c)], 1) != 0)
+      continue;
+    ++(cand.in_cycle ? locs_cycle : locs_once);
+  }
+  double cost = 0.0;
+  cost += 10.0 * static_cast<double>(locs_cycle);
+  cost += 1.0 * static_cast<double>(locs_once);
+  cost += volume;
   // Redundant computation on overlap layers.
-  for (std::size_t i = 0; i < p.domains.size(); ++i)
-    cost += 0.4 * p.domains[i].layers * (loops_[i].in_cycle ? 1.0 : 0.3);
+  for (std::size_t i = 0; i < loops_.size(); ++i)
+    cost += 0.4 * sc.layers[i] * (loops_[i].in_cycle ? 1.0 : 0.3);
+  return cost;
+}
+
+Placement MaterializeCache::build(const Assignment& asg, const Scratch& sc,
+                                  double cost) const {
+  Placement p;
+  p.assignment = asg;
   p.cost = cost;
+  p.domains.reserve(loops_.size());
+  for (std::size_t i = 0; i < loops_.size(); ++i)
+    p.domains.push_back({loops_[i].loop, sc.layers[i]});
+  // Syncs by (location rank, variable). Variable indices order like the
+  // names, and the input order is the (variable, action) group order, so
+  // this sorts exactly as sorting the SyncPoints by (rank, var) would.
+  std::vector<std::pair<int, int>> order = sc.chosen;
+  std::sort(order.begin(), order.end(),
+            [&](const std::pair<int, int>& a, const std::pair<int, int>& b) {
+              const int ar = cands_[static_cast<std::size_t>(a.second)].rank;
+              const int br = cands_[static_cast<std::size_t>(b.second)].rank;
+              if (ar != br) return ar < br;
+              return a.first / kActions < b.first / kActions;
+            });
+  p.syncs.reserve(order.size());
+  for (const auto& [group, c] : order) {
+    const Candidate& cand = cands_[static_cast<std::size_t>(c)];
+    SyncPoint sp;
+    sp.action = static_cast<CommAction>(group % kActions);
+    sp.var = vars_[static_cast<std::size_t>(group / kActions)];
+    sp.before = cand.before;
+    sp.in_cycle = cand.in_cycle;
+    p.syncs.push_back(std::move(sp));
+  }
   return p;
+}
+
+std::optional<Placement> MaterializeCache::run(
+    const Assignment& asg, MaterializeFailure* failure) const {
+  Scratch sc;
+  const std::optional<double> cost = cost_of(asg, sc, failure);
+  if (!cost) return std::nullopt;
+  return build(asg, sc, *cost);
 }
 
 std::optional<Placement> materialize(const Engine& engine,
@@ -358,6 +461,7 @@ struct KBestShared {
 
   std::atomic<std::size_t> kept_now{0};  // live entries, all books + global
   std::atomic<std::size_t> kept_peak{0};
+  std::atomic<std::size_t> built{0};  // placements built, all sinks
 
   void bump_peak() {
     std::size_t v = kept_now.load(std::memory_order_relaxed);
@@ -395,9 +499,17 @@ class KBestSink final : public Engine::SubtreeSink {
 
   bool on_solution(const Assignment& a) override {
     const std::size_t seq = seq_++;
-    std::optional<Placement> p = sh_.cache->run(a);
-    if (!p) return true;
-    BookKey key{p->cost, p->key()};
+    const std::optional<double> cost = sh_.cache->cost_of(a, scratch_);
+    if (!cost) return true;
+    // Cost first: a full book whose worst entry is strictly cheaper can
+    // take no key at this cost, so skip building the placement. Ties and
+    // cheaper costs go through the full (cost, key) logic below.
+    if (sh_.k && book_.size() >= sh_.k &&
+        *cost > book_.rbegin()->first.first)
+      return true;
+    Placement p = sh_.cache->build(a, scratch_, *cost);
+    ++built_;
+    BookKey key{p.cost, p.key()};
     // An existing entry necessarily has a smaller seq — it stays.
     if (book_.count(key) != 0) return true;
     if (sh_.k && book_.size() >= sh_.k) {
@@ -409,18 +521,21 @@ class KBestSink final : public Engine::SubtreeSink {
       sh_.kept_now.fetch_sub(1, std::memory_order_relaxed);
     }
     book_.emplace(std::move(key),
-                  TaggedPlacement{std::move(*p), subtree_, seq});
+                  TaggedPlacement{std::move(p), subtree_, seq});
     sh_.kept_now.fetch_add(1, std::memory_order_relaxed);
     sh_.bump_peak();
     return true;
   }
 
   Book take_book() { return std::move(book_); }
+  [[nodiscard]] std::size_t built() const { return built_; }
 
  private:
   KBestShared& sh_;
   const std::size_t subtree_;
   std::size_t seq_ = 0;
+  std::size_t built_ = 0;
+  MaterializeCache::Scratch scratch_;
   Book book_;
 };
 
@@ -440,10 +555,13 @@ KBestResult enumerate_k_best(const Engine& engine,
         return std::make_unique<KBestSink>(shared, subtree);
       },
       [&](std::size_t, std::unique_ptr<Engine::SubtreeSink> sink) {
-        shared.fold(static_cast<KBestSink*>(sink.get())->take_book());
+        auto* book = static_cast<KBestSink*>(sink.get());
+        shared.built.fetch_add(book->built(), std::memory_order_relaxed);
+        shared.fold(book->take_book());
       });
 
   out.stats.kept_peak = shared.kept_peak.load(std::memory_order_relaxed);
+  out.built = shared.built.load(std::memory_order_relaxed);
   out.placements.reserve(shared.global.size());
   for (auto& [key, tagged] : shared.global)
     out.placements.push_back(std::move(tagged.placement));

@@ -21,9 +21,10 @@
 // practical (DESIGN.md §10).
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "placement/engine.hpp"
@@ -85,23 +86,54 @@ enum class MaterializeFailure {
 };
 [[nodiscard]] const char* to_string(MaterializeFailure f);
 
-/// Assignment-independent materialization tables for one engine: candidate
-/// sync points with their in-cycle classification, the def-use pairs and
-/// intercepting cut sets per true-dependence arrow, and the per-loop
-/// domain-requirement rows. Construction costs about one materialize();
-/// each run() afterwards is one greedy cover over precomputed sets.
-/// Immutable after construction, so concurrent run() calls are safe.
+/// Assignment-independent materialization tables for one engine: the
+/// candidate sync points (program order, end of subroutine last) with
+/// their in-cycle classification, per true-dependence arrow its comm
+/// action per (source, destination) state pair and the bitset of
+/// candidates cutting every def-to-use path, and the per-loop domain-
+/// requirement rows. Construction costs about one materialization;
+/// afterwards cost_of is a table walk plus one greedy bitset cover per
+/// (variable, action) group, and build turns its result into a Placement.
+/// Immutable after construction, so concurrent calls with distinct
+/// Scratch objects are safe.
 class MaterializeCache {
  public:
+  /// Per-caller working memory: cost_of derives an assignment's domain
+  /// layers and chosen syncs into it, build reads them back. Once warm, a
+  /// Scratch reused across calls makes cost_of allocation-free.
+  class Scratch {
+    friend class MaterializeCache;
+    std::vector<int> layers;  // per partitioned loop, in loops_ order
+    /// Chosen syncs as (group, candidate index), groups in (variable,
+    /// action) order and each group's picks in greedy order.
+    std::vector<std::pair<int, int>> chosen;
+    /// (group, true-arrow index) of every Update arrow, sorted.
+    std::vector<std::pair<int, int>> updates;
+    std::vector<int> counts;    // per candidate, greedy cover tallies
+    std::vector<char> covered;  // per member of the current group
+  };
+
   explicit MaterializeCache(const Engine& engine);
 
-  /// Materializes one assignment (see the materialize() free function for
-  /// the semantics). Byte-identical results to the uncached path.
+  /// Derives the assignment's iteration domains and sync points into
+  /// `scratch` and returns the placement's cost, or nullopt when the
+  /// assignment does not materialize (the out-param reports why; reasons
+  /// are checked in the order domain conflict, missing transition,
+  /// uncuttable update).
+  [[nodiscard]] std::optional<double> cost_of(
+      const Assignment& assignment, Scratch& scratch,
+      MaterializeFailure* failure = nullptr) const;
+
+  /// The placement that cost_of last derived into `scratch` for
+  /// `assignment`, with cost `cost`.
+  [[nodiscard]] Placement build(const Assignment& assignment,
+                                const Scratch& scratch, double cost) const;
+
+  /// cost_of + build with a local scratch (see the materialize() free
+  /// function for the semantics).
   [[nodiscard]] std::optional<Placement> run(
       const Assignment& assignment,
       MaterializeFailure* failure = nullptr) const;
-
-  [[nodiscard]] const Engine& engine() const { return eng_; }
 
  private:
   /// One state-dependent domain requirement: the loop needs
@@ -119,21 +151,43 @@ class MaterializeCache {
     std::vector<DomainReq> reqs;
     bool in_cycle = false;  // the loop re-executes (convergence cycle)
   };
-  struct TrueArrow {
-    const FlowArrow* arrow = nullptr;
-    /// Candidate points cutting every def-to-use path of this arrow, in
-    /// program order; nullptr (end of subroutine) last when applicable.
-    std::vector<const lang::Stmt*> cuts;
+  /// A candidate sync point; `before` == nullptr is the end of the
+  /// subroutine.
+  struct Candidate {
+    const lang::Stmt* before = nullptr;
+    int rank = 0;  // statement id; the end of the subroutine is 1 << 30
+    bool in_cycle = false;
   };
+  struct TrueArrow {
+    int src = -1;  // occurrence ids
+    int dst = -1;
+    int var = -1;  // index into vars_
+    /// Offset of this arrow's cut bitset (cut_words_ words) in cuts_, and
+    /// of its ns x ns action table in actions_.
+    std::size_t cut_at = 0;
+    std::size_t act_at = 0;
+    bool cuttable = false;  // the cut set is nonempty
+  };
+  static constexpr std::uint8_t kNoAction = 255;
+  /// Sync groups are numbered variable * kActions + action, which ascends
+  /// in (variable name, action) order.
+  static constexpr int kActions = 4;
 
-  bool cover(const std::vector<const std::vector<const lang::Stmt*>*>& sets,
-             std::vector<const lang::Stmt*>& chosen) const;
+  /// Greedy minimal cover of one group's def-use pairs, the run
+  /// scratch.updates[begin, end), appending the picks as (group,
+  /// candidate) to scratch.chosen.
+  bool cover(std::size_t begin, std::size_t end, Scratch& scratch) const;
 
-  const Engine& eng_;
   int depth_ = 0;
+  int nstates_ = 0;
+  std::vector<int> level_;  // state id -> coherence level
   std::vector<LoopInfo> loops_;
+  std::vector<Candidate> cands_;
+  std::vector<std::string> vars_;  // true-arrow variables, sorted
   std::vector<TrueArrow> true_arrows_;
-  std::map<const lang::Stmt*, bool> cycle_of_;  // candidate -> in_cycle
+  std::size_t cut_words_ = 0;
+  std::vector<std::uint64_t> cuts_;
+  std::vector<std::uint8_t> actions_;
 };
 
 /// Materializes one assignment. Returns nullopt if the assignment is not
@@ -159,11 +213,16 @@ struct KBestResult {
   /// Engine statistics of the streaming enumeration; kept_peak reports the
   /// peak number of simultaneously retained placements.
   EngineStats stats;
+  /// Placements built: raw solutions that materialized and were not
+  /// rejected on cost alone by a full subtree book. Jobs-independent.
+  std::size_t built = 0;
 };
 
 /// Bounded-memory enumerate-and-rank (DESIGN.md §10): streams every raw
 /// solution through a per-subtree book of the k best distinct placements
-/// (k = options.max_solutions; 0 = unbounded), folding each book into a
+/// (k = options.max_solutions; 0 = unbounded), costing each one first and
+/// building its Placement only when that cost can still enter the book,
+/// and folding each book into a
 /// shared accumulator as its subtree finishes. For every jobs value the
 /// result equals materialize_all over the full enumeration, truncated to
 /// k — same placements, same representatives, same order — while peak

@@ -31,6 +31,7 @@ EnumerationResult enumerate_placements(const ProgramModel& model,
   Engine engine(model, fg);
   if (options.k_best) {
     KBestResult kb = enumerate_k_best(engine, options.engine);
+    span.arg("built", kb.built);
     r.stats = kb.stats;
     r.placements = std::move(kb.placements);
   } else {

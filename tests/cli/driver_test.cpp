@@ -944,6 +944,30 @@ TEST(Driver, TraceEventSetIsDeterministicAcrossRepeatsAndJobs) {
   EXPECT_TRUE(tool);
 }
 
+/// The same for `place --k-best 4`: the streaming book with its cost gate.
+std::vector<std::string> traced_kbest_signatures(const char* jobs) {
+  trace::Tracer tracer;
+  trace::ScopedInstall guard(&tracer);
+  DriverResult r = place_testt({"--k-best", "4", "--jobs", jobs});
+  EXPECT_EQ(r.exit_code, 0) << r.error;
+  return tracer.signatures();
+}
+
+TEST(Driver, KBestTraceEventSetIsDeterministicAcrossJobs) {
+  // Each subtree book decides on its own which raw solutions get a
+  // Placement built, so the `built` count on tool/enumerate — like every
+  // other event — is the same for every --jobs value.
+  std::vector<std::string> base = traced_kbest_signatures("1");
+  ASSERT_FALSE(base.empty());
+  EXPECT_EQ(traced_kbest_signatures("2"), base) << "--jobs 2 differs";
+  EXPECT_EQ(traced_kbest_signatures("8"), base) << "--jobs 8 differs";
+  bool built = false;
+  for (const std::string& s : base)
+    built |= s.find("tool/enumerate") != std::string::npos &&
+             s.find("built") != std::string::npos;
+  EXPECT_TRUE(built) << "tool/enumerate carries no built arg";
+}
+
 TEST(Driver, TraceFlagWritesChromeTraceJson) {
   const std::string path = unique_temp_path("mptool_trace") + ".json";
   std::remove(path.c_str());
