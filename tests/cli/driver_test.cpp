@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -818,6 +819,34 @@ TEST(Driver, PlaceJsonCostReportIsJobsInvariant) {
     DriverResult par = place_testt({"--k-best", "4", "--json", "--jobs", jobs});
     ASSERT_EQ(par.exit_code, 0) << par.error;
     EXPECT_EQ(par.output, seq.output) << "--jobs " << jobs;
+  }
+}
+
+TEST(Driver, PlaceJsonSynthetic24CappedReportIsPinned) {
+  // `place --max 16 --json` on the 24-stage synthetic program stops at the
+  // solution cap, so which raw solutions fill the cap decides the report.
+  // Duplicate projections must not use up the cap. Everything but the
+  // search-effort `assignments` field is pinned, the report by FNV-1a.
+  for (const char* jobs : {"1", "3"}) {
+    SCOPED_TRACE(jobs);
+    DriverResult r = run_driver(
+        {"place", "p", "s", "--max", "16", "--json", "--jobs", jobs},
+        lang::synthetic_source(24), lang::synthetic_spec(24));
+    ASSERT_EQ(r.exit_code, 0) << r.error;
+    const std::string head = "{\"placements\":16,\"raw_solutions\":16,";
+    ASSERT_EQ(r.output.substr(0, head.size()), head);
+    const std::size_t tail = r.output.find(",\"truncated\":");
+    ASSERT_NE(tail, std::string::npos);
+    const std::string rest = r.output.substr(tail);
+    EXPECT_EQ(rest.substr(0, 51),
+              ",\"truncated\":true,\"report\":[{\"id\":0,\"cost\":310,\"syn");
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : rest) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    EXPECT_EQ(rest.size(), 73644u);
+    EXPECT_EQ(h, 0x5d38f46e9509aa84ull) << std::hex << "0x" << h;
   }
 }
 
