@@ -158,31 +158,9 @@ void BM_EnumerateJobs_LargeDfg(benchmark::State& state) {
 BENCHMARK(BM_EnumerateJobs_LargeDfg)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// ---- dominance pruning & bounded-memory k-best (DESIGN.md §10) ----
-// Dominance collapses subtrees whose observable projection has already been
-// enumerated; the win is raw-solution volume (memory and downstream
-// materialization), visible in the counters. The k-best path bounds retained
-// placements to O(jobs x k) while reproducing the legacy ranking prefix.
-
-void BM_EnumerateDominance_LargeDfg(benchmark::State& state) {
-  auto p = prepare(kLargeDfgStages);
-  Engine engine(*p.model, *p.fg);
-  EngineOptions opt;
-  opt.max_solutions = 0;
-  opt.jobs = 4;
-  opt.dominance = state.range(0) != 0;
-  EngineStats stats;
-  for (auto _ : state) {
-    auto sols = engine.enumerate(opt, &stats);
-    benchmark::DoNotOptimize(sols.size());
-  }
-  state.SetLabel(opt.dominance ? "dominance on" : "dominance off");
-  state.counters["raw_solutions"] = static_cast<double>(stats.solutions);
-  state.counters["dominance_pruned"] =
-      static_cast<double>(stats.dominance_pruned);
-}
-BENCHMARK(BM_EnumerateDominance_LargeDfg)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+// ---- bounded-memory k-best (DESIGN.md §10) ----
+// The k-best path bounds retained placements to O(jobs x k) while
+// reproducing the legacy ranking prefix.
 
 void BM_KBestJobs_LargeDfg(benchmark::State& state) {
   auto p = prepare(kLargeDfgStages);

@@ -122,7 +122,7 @@ int cmd_place(Context& ctx) {
       << " states tried)\n";
   if (set.stats.dominance_pruned > 0)
     out << set.stats.dominance_pruned
-        << " subtrees dominance-pruned (duplicate projections skipped)\n";
+        << " duplicate raw solutions skipped (repeated projections)\n";
   if (set.stats.truncated)
     out << "search truncated: " << to_string(set.stats.reason) << "\n";
   out << "\n";

@@ -100,14 +100,8 @@ Engine::Engine(const ProgramModel& model, const FlowGraph& fg)
   // unobservable. Only arrows/occurrences where the observable component
   // can actually vary enter the tables.
   level_of_.resize(nstates, 0);
-  int max_level = 0;
   for (std::size_t i = 0; i < nstates; ++i)
-    max_level = std::max(max_level, autom.states()[i].level);
-  level_mask_.assign(static_cast<std::size_t>(max_level) + 1, 0);
-  for (std::size_t i = 0; i < nstates; ++i) {
     level_of_[i] = static_cast<std::uint8_t>(autom.states()[i].level);
-    level_mask_[autom.states()[i].level] |= std::uint64_t{1} << i;
-  }
 
   for (const FlowArrow& a : fg.arrows()) {
     if (a.kind != ArrowKind::kTrue) continue;
@@ -116,17 +110,12 @@ Engine::Engine(const ProgramModel& model, const FlowGraph& fg)
       if (t->action != legal_trans_[a.id].front()->action) mixed = true;
     if (!mixed) continue;  // action constant across completions
     detail::ProjArrow pa;
-    pa.arrow = a.id;
     pa.src = a.src;
     pa.dst = a.dst;
     pa.act_code.assign(nstates * nstates, 255);
-    for (const OverlapTransition* t : legal_trans_[a.id]) {
-      const int code = static_cast<int>(t->action);
-      if (pa.act_bits[code].empty()) pa.act_bits[code].assign(nstates, 0);
-      pa.act_bits[code][t->from] |= std::uint64_t{1} << t->to;
+    for (const OverlapTransition* t : legal_trans_[a.id])
       pa.act_code[static_cast<std::size_t>(t->from) * nstates + t->to] =
-          static_cast<std::uint8_t>(code);
-    }
+          static_cast<std::uint8_t>(t->action);
     proj_arrows_.push_back(std::move(pa));
   }
 
@@ -167,18 +156,22 @@ const OverlapTransition* Engine::transition_for(const Assignment& assignment,
 }
 
 std::string Engine::projection_of(const Assignment& a) const {
-  const std::size_t ns = model_.autom().states().size();
   std::string out;
-  out.reserve(proj_arrows_.size() + proj_occs_.size());
+  project(a.state_of, out);
+  return out;
+}
+
+void Engine::project(const std::vector<int>& state_of, std::string& out) const {
+  const std::size_t ns = level_of_.size();  // one entry per state
+  out.clear();
   for (const detail::ProjArrow& pa : proj_arrows_) {
-    const int s = a.state_of[pa.src];
-    const int d = a.state_of[pa.dst];
+    const int s = state_of[pa.src];
+    const int d = state_of[pa.dst];
     out.push_back(static_cast<char>(
         pa.act_code[static_cast<std::size_t>(s) * ns + d]));
   }
   for (int o : proj_occs_)
-    out.push_back(static_cast<char>(level_of_[a.state_of[o]]));
-  return out;
+    out.push_back(static_cast<char>(level_of_[state_of[o]]));
 }
 
 bool Engine::prune(std::vector<std::vector<int>>& dom) const {
@@ -247,7 +240,7 @@ enum class StopCause { kNone, kSolutionCap, kBudget, kDeadline, kCancel,
                        kSinkStop };
 
 /// Immutable per-enumeration search context, shared by every searcher
-/// (sequential, prefix enumerator, and the parallel subtree workers).
+/// (the prefix enumerator and every subtree searcher).
 struct Ctx {
   std::size_t n = 0;
   const EngineOptions* opt = nullptr;
@@ -262,20 +255,10 @@ struct Ctx {
   const std::vector<std::vector<std::uint64_t>>* bits = nullptr;
   const std::vector<std::vector<std::uint64_t>>* rbits = nullptr;
   Clock::time_point start{};
-  /// Shared trial counter for the global assignment budget; null means the
-  /// searcher enforces max_assignments against its local count (exact,
-  /// sequential mode).
+  /// Shared trial counter for the global assignment budget, drawn on by
+  /// every searcher when max_assignments is set.
   std::atomic<long long>* budget_pool = nullptr;
   std::atomic<bool>* cancel = nullptr;
-  // ---- dominance-pruning tables (DESIGN.md §10) ----
-  const std::vector<detail::ProjArrow>* proj_arrows = nullptr;
-  const std::vector<int>* proj_occs = nullptr;
-  const std::vector<std::uint8_t>* level_of = nullptr;
-  const std::vector<std::uint64_t>* level_mask = nullptr;
-  // Scan orders for the closure check, deepest search position first, so a
-  // not-yet-determined component aborts the scan as early as possible.
-  std::vector<int> arrow_scan;  // indices into *proj_arrows
-  std::vector<int> occ_scan;    // occurrence ids from *proj_occs
 };
 
 /// Depth-first search with bitset forward checking over [base, last] of the
@@ -291,19 +274,15 @@ class Searcher {
   /// for every job count (untruncated searches; see DESIGN.md §13).
   Searcher(const Ctx& ctx, std::size_t base, std::size_t last,
            std::vector<int> state, std::vector<std::uint64_t> live,
-           bool dominance, int trace_id = 0)
-      : ctx_(ctx), base_(base), last_(last), dominance_(dominance),
-        trace_id_(trace_id), state_(std::move(state)), live_(std::move(live)) {
-    // Empty projection tables are fine: the projection is then constant,
-    // so every solution after the first is a duplicate — which is true.
-    if (dominance_) arrow_code_.resize(ctx.proj_arrows->size(), -1);
-  }
+           int trace_id)
+      : ctx_(ctx), base_(base), last_(last), trace_id_(trace_id),
+        state_(std::move(state)), live_(std::move(live)) {}
 
   // Unused budget units return to the shared pool so later (sequential)
-  // subtrees can spend them; keeps the inline subtree walk byte-exact
-  // against the single-searcher budget semantics.
+  // subtrees can spend them: a sequential walk stops after exactly
+  // max_assignments trials, however the work splits into subtrees.
   ~Searcher() {
-    if (ctx_.budget_pool && granted_ > 0)
+    if (granted_ > 0)
       ctx_.budget_pool->fetch_sub(granted_, std::memory_order_relaxed);
   }
   Searcher(const Searcher&) = delete;
@@ -320,7 +299,9 @@ class Searcher {
     return dfs(base_, on_leaf);
   }
 
-  EngineStats stats;  // assignments/backtracks for this searcher only
+  /// Assignments/backtracks for this searcher only; on_leaf may count
+  /// skipped duplicate leaves into dominance_pruned.
+  EngineStats stats;
 
  private:
   template <typename OnLeaf>
@@ -357,34 +338,12 @@ class Searcher {
         }
       }
       if (!dead) {
-        if (depth == last_) {
-          if (dominance_ && dominated()) {
-            // Duplicate leaf: its placement projection was already emitted
-            // in this subtree; materialize_all would deduplicate it anyway.
-            ++stats.dominance_pruned;
-          } else {
-            StopCause c = on_leaf(state_, live_);
-            if (dominance_) record_projection();
-            if (c != StopCause::kNone) {
-              undo(mark);
-              state_[var] = -1;
-              return c;
-            }
-          }
-        } else if (dominance_ && !seen_.empty() && dominated()) {
-          // Every completion of this partial assignment carries the same
-          // observable projection (the forward-checked domains pin every
-          // action-varying arrow and level-varying occurrence), and that
-          // projection was already emitted: the whole subtree can only
-          // repeat known placements. Abandon it.
-          ++stats.dominance_pruned;
-        } else {
-          StopCause c = dfs(depth + 1, on_leaf);
-          if (c != StopCause::kNone) {
-            undo(mark);
-            state_[var] = -1;
-            return c;
-          }
+        StopCause c = depth == last_ ? on_leaf(state_, live_)
+                                     : dfs(depth + 1, on_leaf);
+        if (c != StopCause::kNone) {
+          undo(mark);
+          state_[var] = -1;
+          return c;
         }
       }
       undo(mark);
@@ -399,77 +358,6 @@ class Searcher {
         if (StopCause c = poll(); c != StopCause::kNone) return c;
     }
     return StopCause::kNone;
-  }
-
-  // ---- dominance pruning (DESIGN.md §10) ----
-
-  /// Mask of states the variable can still take: its assigned value, or
-  /// its live (forward-checked) domain.
-  [[nodiscard]] std::uint64_t mask_of(int var) const {
-    return state_[var] >= 0 ? std::uint64_t{1} << state_[var] : live_[var];
-  }
-
-  /// The single comm action every (s, d) pair in the masks agrees on, or
-  /// -1 when the masks still admit two different actions (or none).
-  [[nodiscard]] int determined_action(const detail::ProjArrow& pa) const {
-    const std::uint64_t ms = mask_of(pa.src);
-    const std::uint64_t md = mask_of(pa.dst);
-    int found = -1;
-    for (int act = 0; act < 4; ++act) {
-      const auto& bits = pa.act_bits[act];
-      if (bits.empty()) continue;
-      bool present = false;
-      if (pa.src == pa.dst) {  // self-arrow: only (v, v) pairs can complete
-        for (std::uint64_t t = ms; t && !present; t &= t - 1) {
-          const int s = std::countr_zero(t);
-          present = (bits[s] >> s) & 1u;
-        }
-      } else {
-        std::uint64_t dsts = 0;
-        for (std::uint64_t t = ms; t; t &= t - 1)
-          dsts |= bits[std::countr_zero(t)];
-        present = (dsts & md) != 0;
-      }
-      if (!present) continue;
-      if (found >= 0) return -1;
-      found = act;
-    }
-    return found;
-  }
-
-  /// True iff every completion below the current node shares one
-  /// observable projection AND that projection was already emitted in this
-  /// subtree. Monotone in the live domains: once closed, deeper nodes stay
-  /// closed, so after the first leaf of a closed region is emitted every
-  /// sibling branch prunes at its next node. Side effect: leaves the
-  /// canonical projection in proj_buf_ when closed.
-  bool dominated() {
-    for (int o : ctx_.occ_scan) {
-      const std::uint64_t m = mask_of(o);
-      const int lvl = (*ctx_.level_of)[std::countr_zero(m)];
-      if (m & ~(*ctx_.level_mask)[lvl]) return false;  // level still open
-    }
-    for (int pi : ctx_.arrow_scan) {
-      const int act = determined_action((*ctx_.proj_arrows)[pi]);
-      if (act < 0) return false;  // action still open
-      arrow_code_[pi] = static_cast<std::int8_t>(act);
-    }
-    proj_buf_.clear();
-    for (std::size_t i = 0; i < arrow_code_.size(); ++i)
-      proj_buf_.push_back(static_cast<char>(arrow_code_[i]));
-    for (int o : *ctx_.proj_occs)
-      proj_buf_.push_back(
-          static_cast<char>((*ctx_.level_of)[std::countr_zero(mask_of(o))]));
-    return seen_.count(proj_buf_) != 0;
-  }
-
-  /// Remembers the projection of the solution just emitted (left in
-  /// proj_buf_ by the dominated() call that admitted it). The set is
-  /// bounded: past the cap we stop learning new projections (less pruning,
-  /// never wrong results).
-  void record_projection() {
-    constexpr std::size_t kSeenCap = std::size_t{1} << 16;
-    if (seen_.size() < kSeenCap) seen_.insert(proj_buf_);
   }
 
   StopCause pre_trial() {
@@ -494,13 +382,12 @@ class Searcher {
     return StopCause::kNone;
   }
 
-  /// Claims one unit of the assignment budget; false when exhausted. In
-  /// pooled mode units are drawn from the shared counter in small batches
-  /// to keep the atomic off the hot path; the global total never exceeds
-  /// max_assignments (unused batch remainders return in the destructor).
+  /// Claims one unit of the assignment budget; false when exhausted. Units
+  /// are drawn from the shared counter in small batches to keep the atomic
+  /// off the hot path; the global total never exceeds max_assignments
+  /// (unused batch remainders return in the destructor).
   bool reserve_trial() {
     const long long max = ctx_.opt->max_assignments;
-    if (!ctx_.budget_pool) return stats.assignments < max;
     if (granted_ == 0) {
       constexpr long long kBatch = 64;
       const long long got =
@@ -534,15 +421,11 @@ class Searcher {
   const Ctx& ctx_;
   const std::size_t base_;
   const std::size_t last_;
-  const bool dominance_;
   const int trace_id_;
   long long granted_ = 0;
   std::vector<int> state_;
   std::vector<std::uint64_t> live_;
   std::vector<std::pair<int, std::uint64_t>> trail_;
-  std::vector<std::int8_t> arrow_code_;
-  std::set<std::string> seen_;
-  std::string proj_buf_;
 };
 
 void apply_cause(EngineStats& st, StopCause c) {
@@ -613,30 +496,6 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
   ctx.bits = &legal_bits_;
   ctx.rbits = &legal_rbits_;
   ctx.start = Clock::now();
-  ctx.proj_arrows = &proj_arrows_;
-  ctx.proj_occs = &proj_occs_;
-  ctx.level_of = &level_of_;
-  ctx.level_mask = &level_mask_;
-  if (options.dominance) {
-    // Closure-scan order: components owned by late search positions first,
-    // so the scan aborts at the first still-open component almost
-    // immediately high in the tree.
-    std::vector<int> pos(n, 0);
-    for (std::size_t i = 0; i < n; ++i) pos[ctx.order[i]] = static_cast<int>(i);
-    ctx.arrow_scan.resize(proj_arrows_.size());
-    for (std::size_t i = 0; i < proj_arrows_.size(); ++i)
-      ctx.arrow_scan[i] = static_cast<int>(i);
-    std::stable_sort(ctx.arrow_scan.begin(), ctx.arrow_scan.end(),
-                     [&](int a, int b) {
-                       const auto& pa = proj_arrows_[a];
-                       const auto& pb = proj_arrows_[b];
-                       return std::max(pos[pa.src], pos[pa.dst]) >
-                              std::max(pos[pb.src], pos[pb.dst]);
-                     });
-    ctx.occ_scan = proj_occs_;
-    std::stable_sort(ctx.occ_scan.begin(), ctx.occ_scan.end(),
-                     [&](int a, int b) { return pos[a] > pos[b]; });
-  }
 
   std::vector<int> state(n, -1);
   std::vector<std::uint64_t> live(n, 0);
@@ -654,7 +513,7 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
   // target, capped so the root table stays small. Singleton levels (common
   // after pruning) contribute no branching and are skipped over for free.
   // The target is a constant — never a function of `jobs` — so the subtree
-  // decomposition, and with it every per-subtree dominance set and
+  // decomposition, and with it every per-subtree duplicate filter and
   // streaming consumer, observes identical events for every job count.
   std::size_t split = 0;
   if (n >= 2) {
@@ -670,55 +529,24 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
   }
 
   const std::size_t cap = first_k ? options.max_solutions : 0;
-  Assignment scratch;
-
-  // ---- single-tree mode ----
-  // No branching at the top, or the exact legacy sequential path (first-k
-  // without dominance), where the subtree structure is unobservable.
-  if (split == 0 || (first_k && !options.dominance && jobs <= 1)) {
-    hooks.plan(1);
-    auto sink = hooks.make(0);
-    trace::Span span("engine/subtree", "engine");
-    Searcher s(ctx, 0, n - 1, std::move(state), std::move(live),
-               options.dominance, /*trace_id=*/0);
-    StopCause c = s.run([&](const std::vector<int>& sol,
-                            const std::vector<std::uint64_t>&) {
-      scratch.state_of = sol;
-      if (!sink->on_solution(scratch)) return StopCause::kSinkStop;
-      ++st.solutions;
-      if (cap && st.solutions >= cap) return StopCause::kSolutionCap;
-      return StopCause::kNone;
-    });
-    st.assignments = s.stats.assignments;
-    st.backtracks = s.stats.backtracks;
-    st.dominance_pruned = s.stats.dominance_pruned;
-    span.arg("tree", 0);
-    span.arg("assignments", s.stats.assignments);
-    span.arg("backtracks", s.stats.backtracks);
-    span.arg("pruned", s.stats.dominance_pruned);
-    span.arg("solutions", st.solutions);
-    apply_cause(st, c);
-    hooks.done(0, std::move(sink));
-    return;
-  }
-
-  // ---- subtree enumeration ----
   std::atomic<long long> budget_pool{0};
   std::atomic<bool> cancel{false};
-  if (options.max_assignments) ctx.budget_pool = &budget_pool;
+  ctx.budget_pool = &budget_pool;
 
   // Enumerate the consistent prefixes (subtree roots) in canonical order,
   // snapshotting the forward-checked live domains at each; workers resume
-  // from the snapshot without redoing prefix work. Dominance is off here —
-  // prefix leaves are partial assignments, not solutions.
+  // from the snapshot without redoing prefix work. Without a split the
+  // whole search is one subtree rooted at depth 0.
   struct Subtree {
     std::vector<int> state;
     std::vector<std::uint64_t> live;
   };
   std::vector<Subtree> subtrees;
-  {
+  if (split == 0) {
+    subtrees.push_back({std::move(state), std::move(live)});
+  } else {
     Searcher prefix(ctx, 0, split - 1, std::move(state), std::move(live),
-                    /*dominance=*/false, /*trace_id=*/-1);
+                    /*trace_id=*/-1);
     StopCause pc = prefix.run(
         [&](const std::vector<int>& ps, const std::vector<std::uint64_t>& pl) {
           subtrees.push_back({ps, pl});
@@ -753,11 +581,24 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
     auto sink = hooks.make(i);
     trace::Span span("engine/subtree", "engine");
     Searcher s(ctx, split, n - 1, std::move(subtrees[i].state),
-               std::move(subtrees[i].live), options.dominance,
-               static_cast<int>(i));
+               std::move(subtrees[i].live), static_cast<int>(i));
+    // Duplicate filter (DESIGN.md §10): a leaf whose observable projection
+    // this subtree already emitted materializes to a placement it already
+    // produced, so it is skipped and never uses up a solution cap. Past
+    // kSeenCap projections the set stops learning: fewer skips, never a
+    // lost placement.
+    constexpr std::size_t kSeenCap = std::size_t{1} << 16;
+    std::set<std::string> seen;
+    std::string proj;
     Assignment local_scratch;
     StopCause c = s.run([&](const std::vector<int>& sol,
                             const std::vector<std::uint64_t>&) {
+      project(sol, proj);
+      if (seen.size() < kSeenCap ? !seen.insert(proj).second
+                                 : seen.count(proj) != 0) {
+        ++s.stats.dominance_pruned;
+        return StopCause::kNone;
+      }
       local_scratch.state_of = sol;
       if (!sink->on_solution(local_scratch)) return StopCause::kSinkStop;
       ++r.accepted;
@@ -774,7 +615,7 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
     hooks.done(i, std::move(sink));
   };
 
-  if (jobs > 1) {
+  if (jobs > 1 && subtrees.size() > 1) {
     ctx.cancel = &cancel;
     // Ordered-completion bookkeeping (first-k mode): once the contiguous
     // run of finished subtrees starting at 0 already holds max_solutions

@@ -26,19 +26,18 @@
 // is identical for every job count (see DESIGN.md §9).
 //
 // Two bounded-memory refinements ride on the subtree decomposition
-// (DESIGN.md §10): dominance pruning abandons any partial assignment whose
-// completions can only repeat the observable placement projection (comm
+// (DESIGN.md §10): a leaf whose observable placement projection (comm
 // action per true-dependence arrow, coherence level per domain-relevant
-// write occurrence) of a solution already found in the same subtree; and
-// enumerate_stream feeds solutions to per-subtree consumers instead of
-// materializing a global list, which is what the k-best ranking in
-// solution.hpp builds on.
+// write occurrence) repeats one already emitted in the same subtree is
+// skipped as a duplicate; and enumerate_stream feeds solutions to
+// per-subtree consumers instead of materializing a global list, which is
+// what the k-best ranking in solution.hpp builds on.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "placement/flowgraph.hpp"
@@ -62,13 +61,6 @@ struct EngineOptions {
   /// Run arc-consistency domain pruning before the search (§5.2-style
   /// reduction). Disable to measure the raw backtracking cost.
   bool prune_domains = true;
-  /// Dominance pruning (DESIGN.md §10): abandon partial assignments whose
-  /// every completion repeats the observable placement projection of a
-  /// solution already found in the same subtree. Never changes the
-  /// materialized placement set of a full enumeration — only duplicate
-  /// raw assignments (which materialize_all would deduplicate anyway) are
-  /// skipped — but raw solution lists shrink accordingly.
-  bool dominance = true;
   /// Work budget: stop after this many assignment steps (0 = unlimited).
   /// Pathological programs degrade to a truncated-with-reason result
   /// instead of searching unbounded.
@@ -95,9 +87,10 @@ struct EngineStats {
   bool truncated = false;      // stopped before exhausting the space
   TruncationReason reason = TruncationReason::kNone;
   std::size_t pruned_singletons = 0;  // occurrences fixed by pruning alone
-  /// Subtrees (including single leaves) abandoned because every completion
-  /// repeats an already-found observable projection. Deterministic across
-  /// job counts for untruncated runs.
+  /// Leaves skipped because their observable projection repeats one
+  /// already emitted in the same subtree (they would materialize to a
+  /// placement already found). Deterministic across job counts for
+  /// untruncated runs.
   long long dominance_pruned = 0;
   /// Peak number of simultaneously retained placements across all k-best
   /// consumers plus the shared accumulator (set by enumerate_k_best;
@@ -108,18 +101,13 @@ struct EngineStats {
 namespace detail {
 /// Projection table for one true-dependence arrow whose legal transitions
 /// carry more than one distinct communication action (the only arrows whose
-/// chosen action can vary across completions). Engine-internal; lives in
-/// this header only so the search code can reference it.
+/// chosen action can vary across solutions). Engine-internal; lives in
+/// this header only because Engine holds a table of them.
 struct ProjArrow {
-  int arrow = -1;
   int src = -1;
   int dst = -1;
-  /// Per comm action (index = CommAction value): mask of destination
-  /// states d with action(t(s, d)) == action, indexed by source state s.
-  /// Empty when the arrow never takes the action.
-  std::array<std::vector<std::uint64_t>, 4> act_bits;
   /// Flat nstates x nstates action code per legal (s, d) pair (255 = no
-  /// transition); stamps leaf projections.
+  /// transition).
   std::vector<std::uint8_t> act_code;
 };
 }  // namespace detail
@@ -191,7 +179,7 @@ class Engine {
   /// one per level-varying domain-relevant write occurrence (the chosen
   /// coherence level). Assignments with equal projections materialize to
   /// byte-identical placements, or both fail to materialize — this is the
-  /// equivalence dominance pruning quotients by (DESIGN.md §10).
+  /// equivalence the search's duplicate filter quotients by (DESIGN.md §10).
   [[nodiscard]] std::string projection_of(const Assignment& a) const;
 
   [[nodiscard]] const ProgramModel& model() const { return model_; }
@@ -217,13 +205,16 @@ class Engine {
   // solution order.
   std::vector<std::vector<int>> domain_;
 
-  // ---- observable-projection tables (dominance pruning, DESIGN.md §10) --
+  // ---- observable-projection tables (duplicate filter, DESIGN.md §10) ---
   // Arrows / occurrences omitted here contribute a constant to every
-  // completion's projection and never need checking.
+  // solution's projection and never need checking.
   std::vector<detail::ProjArrow> proj_arrows_;
-  std::vector<int> proj_occs_;             // level-varying write occurrences
-  std::vector<std::uint8_t> level_of_;     // state id -> coherence level
-  std::vector<std::uint64_t> level_mask_;  // level -> mask of its states
+  std::vector<int> proj_occs_;          // level-varying write occurrences
+  std::vector<std::uint8_t> level_of_;  // state id -> coherence level
+
+  /// projection_of into a reused buffer: the one projection path, shared
+  /// by the search's per-leaf duplicate filter.
+  void project(const std::vector<int>& state_of, std::string& out) const;
 
   /// Arc-consistency fixpoint over `dom`. Returns false — without looping
   /// further — as soon as some domain empties.

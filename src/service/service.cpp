@@ -36,7 +36,6 @@ std::string Service::options_key(const placement::ToolOptions& o) {
   k += ";kbest=" + std::to_string(o.k_best ? 1 : 0);
   k += ";budget=" + std::to_string(o.engine.max_assignments);
   k += ";prune=" + std::to_string(o.engine.prune_domains ? 1 : 0);
-  k += ";dom=" + std::to_string(o.engine.dominance ? 1 : 0);
   if (truncatable) k += ";jobs=" + std::to_string(o.engine.jobs);
   return k;
 }
