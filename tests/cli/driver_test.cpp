@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -1063,6 +1064,55 @@ TEST(Driver, ProfileEmitOutOfRangeFails) {
                               lang::testt_source(), lang::testt_spec());
   EXPECT_NE(r.exit_code, 0);
   EXPECT_NE(r.error.find("does not exist"), std::string::npos);
+}
+
+TEST(Driver, ProfileMatchesGoldenOnBundledExamples) {
+  // The per-rank, per-edge and per-phase `sync:*` counters are exactly what
+  // the overlap exchange and the SPMD sync runner produce, so the whole
+  // profile is pinned byte-for-byte.
+  for (const char* name : {"testt", "coupled"}) {
+    SCOPED_TRACE(name);
+    const std::string prog = std::string(MP_EXAMPLES_DIR) + "/" + name + ".f";
+    const std::string spec =
+        std::string(MP_EXAMPLES_DIR) + "/" + name + ".spec";
+    const char* argv[] = {"mptool", "profile", prog.c_str(), spec.c_str()};
+    std::ostringstream out, err;
+    ASSERT_EQ(run_main(4, argv, out, err), 0) << err.str();
+    std::ifstream golden(std::string(MP_TEST_DATA_DIR) + "/profile_" + name +
+                         ".txt");
+    ASSERT_TRUE(golden.is_open());
+    std::ostringstream want;
+    want << golden.rdbuf();
+    EXPECT_EQ(out.str(), want.str());
+  }
+}
+
+TEST(Driver, OptTraceCountsEverySyncSpanOnCoupled) {
+  // `opt` runs the raw and the optimized placement SPMD on 3 ranks. The
+  // raw run exchanges ru and rv apart; the optimized one fuses them into a
+  // single "sync:overlap-som:ru+rv" span per rank and execution.
+  const std::string path = unique_temp_path("mptool_opt_trace") + ".json";
+  std::remove(path.c_str());
+  DriverResult r = opt_coupled({"--trace", path});
+  ASSERT_EQ(r.exit_code, 0) << r.error;
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "trace file not written: " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  std::string error;
+  const std::optional<JsonValue> doc = json_parse(text.str(), &error);
+  ASSERT_TRUE(doc) << error;
+  std::map<std::string, int> syncs;
+  for (const JsonValue& ev : doc->find("traceEvents")->items()) {
+    const std::string& name = ev.find("name")->as_string();
+    if (name.rfind("sync:", 0) == 0) ++syncs[name];
+  }
+  const std::map<std::string, int> want{{"sync:+ reduction:resu", 18},
+                                        {"sync:overlap-som:ru", 9},
+                                        {"sync:overlap-som:rv", 9},
+                                        {"sync:overlap-som:ru+rv", 9}};
+  EXPECT_EQ(syncs, want);
 }
 
 TEST(Driver, SoakRecoverHealsEveryInjectedFault) {
