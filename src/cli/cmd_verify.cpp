@@ -8,9 +8,8 @@
 #include "cli/handlers.hpp"
 #include "cli/options.hpp"
 #include "interp/spmd.hpp"
-#include "mesh/generators.hpp"
 #include "overlap/decompose.hpp"
-#include "partition/partition.hpp"
+#include "placement/cost.hpp"
 #include "placement/tool.hpp"
 #include "placement/verify.hpp"
 #include "runtime/world.hpp"
@@ -27,19 +26,12 @@ void dynamic_verify(const placement::ProgramModel& model,
                     const std::vector<placement::Placement>& placements,
                     const std::vector<std::size_t>& which,
                     DiagnosticEngine& diags, std::ostream& err) {
-  mesh::Mesh2D m = mesh::rectangle(10, 10);
-  const int parts = 3;
-  partition::NodePartition part =
-      partition::partition_nodes(m, parts, partition::Algorithm::kRcb);
-  overlap::Decomposition d =
-      model.autom().pattern() == automaton::PatternKind::kNodeBoundary
-          ? overlap::decompose_node_boundary(m, part)
-          : overlap::decompose_entity_layer(m, part,
-                                            model.autom().halo_depth());
+  mesh::Mesh2D m;
+  const overlap::Decomposition d = placement::example_decomposition(model, &m);
   overlap::trace_halo_schedule(d);
   interp::MeshBinding binding = interp::synthetic_binding(model, m);
   for (std::size_t i : which) {
-    runtime::World world(parts);
+    runtime::World world(d.parts());
     interp::StalenessReport report;
     interp::RunResult run = interp::run_spmd_sanitized(
         world, model, placements[i], d, m, binding, &report);

@@ -7,7 +7,7 @@
 
 #include "interp/checkpoint.hpp"
 #include "overlap/decompose.hpp"
-#include "partition/partition.hpp"
+#include "placement/cost.hpp"
 #include "support/trace.hpp"
 
 namespace meshpar::interp {
@@ -103,13 +103,8 @@ RecoveryOutcome run_spmd_recovering(const ProgramModel& model,
       oc.result.stats = stats;
       return oc;
     }
-    partition::NodePartition part = partition::partition_nodes(
-        m, survivors, partition::Algorithm::kRcb);
-    overlap::Decomposition d2 =
-        model.autom().pattern() == automaton::PatternKind::kNodeBoundary
-            ? overlap::decompose_node_boundary(m, part)
-            : overlap::decompose_entity_layer(m, part,
-                                              model.autom().halo_depth());
+    const overlap::Decomposition d2 =
+        placement::decomposition_for(model, m, survivors);
     runtime::WorldOptions w2o;
     w2o.recovery = &opts.policy;
     w2o.hang_timeout_ms = opts.hang_timeout_ms;

@@ -6,7 +6,7 @@
 #include "interp/recovery.hpp"
 #include "mesh/generators.hpp"
 #include "overlap/decompose.hpp"
-#include "partition/partition.hpp"
+#include "placement/cost.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
 #include "support/trace.hpp"
@@ -14,17 +14,6 @@
 namespace meshpar::interp {
 
 namespace {
-
-/// Exact (bitwise) comparison against the fault-free baseline: the runtime
-/// is deterministic, so ANY difference is the fault's doing.
-bool same_outputs(const RunResult& a, const RunResult& b) {
-  if (a.node_outputs.size() != b.node_outputs.size()) return false;
-  for (const auto& [name, field] : a.node_outputs) {
-    auto it = b.node_outputs.find(name);
-    if (it == b.node_outputs.end() || it->second != field) return false;
-  }
-  return a.scalars == b.scalars;
-}
 
 /// Tolerant comparison for shrink-to-survivors recoveries: a different
 /// decomposition reassociates the floating-point assembly sums, so the
@@ -149,13 +138,8 @@ bool run_soak(const placement::ProgramModel& model,
               const placement::Placement& placement, const SoakOptions& opts,
               SoakReport* report, std::string* error) {
   mesh::Mesh2D m = mesh::rectangle(opts.mesh_n, opts.mesh_n);
-  partition::NodePartition part =
-      partition::partition_nodes(m, opts.parts, partition::Algorithm::kRcb);
   overlap::Decomposition d =
-      model.autom().pattern() == automaton::PatternKind::kNodeBoundary
-          ? overlap::decompose_node_boundary(m, part)
-          : overlap::decompose_entity_layer(m, part,
-                                            model.autom().halo_depth());
+      placement::decomposition_for(model, m, opts.parts);
   overlap::trace_halo_schedule(d);
   MeshBinding binding = synthetic_binding(model, m);
 
@@ -207,7 +191,7 @@ bool run_soak(const placement::ProgramModel& model,
       span.arg("healer", c.healer);
       if (oc.ok) {
         const bool match = oc.survivors == opts.parts
-                               ? same_outputs(oc.result, baseline)
+                               ? bitwise_identical(oc.result, baseline)
                                : close_outputs(oc.result, baseline, 1e-9);
         c.healed = match;
         c.diverged = !match;
@@ -264,7 +248,7 @@ bool run_soak(const placement::ProgramModel& model,
       c.detail = stale.findings.front().message;
     } else {
       c.detector = Detector::kNone;
-      c.diverged = !same_outputs(run, baseline);
+      c.diverged = !bitwise_identical(run, baseline);
       c.detail = c.diverged ? "SILENT DIVERGENCE from baseline"
                             : "no observable effect";
     }

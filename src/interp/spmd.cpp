@@ -1,8 +1,10 @@
 #include "interp/spmd.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -283,7 +285,6 @@ class SpmdHooks : public ExecHooks {
   RankSanitizer* sanitizer_ = nullptr;
   CheckpointStore* ckpt_ = nullptr;
   long long sync_ordinal_ = 0;
-  long long checkpoint_ordinal_ = -1;
 
  public:
   /// Coherence (array) synchronizations this rank reached — the kElideSync
@@ -291,129 +292,93 @@ class SpmdHooks : public ExecHooks {
   [[nodiscard]] long long sync_executions() const { return sync_ordinal_; }
 
  private:
-  /// Runs the syncs attached to one program point in placement order,
-  /// folding members of one fuse group (same point, same action — see
-  /// SyncPoint::fuse_group) into a single aggregated exchange.
+  /// Runs the syncs attached to one program point in placement order. Every
+  /// overlap update or assembly runs as a fuse group (same point, same
+  /// action — see SyncPoint::fuse_group); an unfused one is a group of one.
   void run_syncs(const std::vector<const placement::SyncPoint*>& list,
                  Frame& frame) {
-    std::set<int> done_groups;
+    std::vector<char> done(list.size(), 0);
+    std::vector<const placement::SyncPoint*> group;
     for (std::size_t i = 0; i < list.size(); ++i) {
       const placement::SyncPoint* sp = list[i];
-      if (sp->fuse_group >= 0 &&
-          (sp->action == automaton::CommAction::kUpdateCopy ||
-           sp->action == automaton::CommAction::kAssembleAdd)) {
-        if (!done_groups.insert(sp->fuse_group).second) continue;
-        std::vector<const placement::SyncPoint*> group;
-        for (std::size_t j = i; j < list.size(); ++j)
-          if (list[j]->fuse_group == sp->fuse_group &&
-              list[j]->action == sp->action)
-            group.push_back(list[j]);
-        if (group.size() > 1) {
-          run_fused(group, frame);
-          continue;
-        }
+      if (sp->action == automaton::CommAction::kReduceScalar) {
+        run_reduction(*sp, frame);
+        continue;
       }
-      run_sync(*sp, frame);
+      if (sp->action == automaton::CommAction::kNone || done[i]) continue;
+      group.assign(1, sp);
+      if (sp->fuse_group >= 0)
+        for (std::size_t j = i + 1; j < list.size(); ++j)
+          if (list[j]->fuse_group == sp->fuse_group &&
+              list[j]->action == sp->action) {
+            group.push_back(list[j]);
+            done[j] = 1;
+          }
+      run_exchange(group, frame);
     }
   }
 
-  /// One aggregated exchange for a fuse group: a single collective in the
-  /// kElideSync ordinal space (elision stays SPMD-symmetric and drops the
-  /// whole group), one message per schedule edge, every member's payload.
-  void run_fused(const std::vector<const placement::SyncPoint*>& group,
-                 Frame& frame) {
+  /// One coherence exchange for a fuse group: a single collective in the
+  /// kElideSync ordinal space, one message per schedule edge carrying every
+  /// member's payload, traced as "sync:<method>:<var>[+<var>...]".
+  ///
+  /// kElideSync: every rank skips the same exchange (the whole group), so
+  /// the elision is SPMD-symmetric (no rank blocks waiting for a skipped
+  /// exchange) and the damage is purely a missing overlap update or
+  /// assembly — exactly the fault class the staleness sanitizer audits.
+  void run_exchange(const std::vector<const placement::SyncPoint*>& group,
+                    Frame& frame) {
     const long long ordinal = sync_ordinal_++;
     if (sanitizer_) sanitizer_->note_sync_ordinal(ordinal);
     if (const runtime::FaultPlan* plan = rank_.faults();
         plan && plan->should_elide_sync(ordinal))
       return;
-    if (ckpt_ && ckpt_->wants(ordinal)) checkpoint_ordinal_ = ordinal;
+    const bool checkpoint = ckpt_ && ckpt_->wants(ordinal);
+    const automaton::CommAction action = group[0]->action;
     std::vector<std::vector<double>*> fields;
     fields.reserve(group.size());
-    std::string vars;
+    std::string name = std::string("sync:") + placement::method_name(action) +
+                       ":";
     for (const placement::SyncPoint* sp : group) {
       fields.push_back(&frame.vars[sp->var].array);
-      if (!vars.empty()) vars += "+";
-      vars += sp->var;
+      if (sp != group[0]) name += "+";
+      name += sp->var;
     }
-    traced_sync(std::string("sync:") +
-                    placement::method_name(group[0]->action) + ":" + vars,
-                ordinal, [&] {
-                  if (group[0]->action == automaton::CommAction::kUpdateCopy)
-                    exchanger_.update_many(rank_, fields);
-                  else
-                    exchanger_.assemble_many(rank_, fields);
-                });
-    const long long ckpt_ordinal = checkpoint_ordinal_;
+    traced_sync(name, ordinal, [&] {
+      exchanger_.exchange(rank_, fields,
+                          action == automaton::CommAction::kUpdateCopy
+                              ? runtime::Exchanger::Combine::kCopy
+                              : runtime::Exchanger::Combine::kAdd);
+    });
     for (const placement::SyncPoint* sp : group) {
       if (sanitizer_) sanitizer_->on_exchange(sp->var, frame);
-      checkpoint_ordinal_ = ckpt_ordinal;  // every member contributes
-      contribute_checkpoint(sp->var, frame.vars[sp->var]);
+      if (checkpoint)
+        contribute_checkpoint(ordinal, sp->var, frame.vars[sp->var]);
     }
   }
 
-  void run_sync(const placement::SyncPoint& sp, Frame& frame) {
-    // kElideSync: every rank skips the same coherence synchronization, so
-    // the elision is SPMD-symmetric (no rank blocks waiting for a skipped
-    // exchange) and the damage is purely a missing overlap update or
-    // assembly — exactly the fault class the staleness sanitizer audits.
-    // Scalar reductions are exempt: they are collective control flow, and
-    // eliding them symmetrically perturbs only replicated scalars, which
-    // no cell-granular oracle can flag.
-    long long epoch = -1;  // reductions live outside the ordinal space
-    if (sp.action == automaton::CommAction::kUpdateCopy ||
-        sp.action == automaton::CommAction::kAssembleAdd) {
-      const long long ordinal = sync_ordinal_++;
-      epoch = ordinal;
-      if (sanitizer_) sanitizer_->note_sync_ordinal(ordinal);
-      if (const runtime::FaultPlan* plan = rank_.faults();
-          plan && plan->should_elide_sync(ordinal))
-        return;
-      if (ckpt_ && ckpt_->wants(ordinal)) checkpoint_ordinal_ = ordinal;
-    }
-    switch (sp.action) {
-      case automaton::CommAction::kUpdateCopy: {
-        Binding& b = frame.vars[sp.var];
-        traced_sync(span_name(sp), epoch,
-                    [&] { exchanger_.update(rank_, b.array); });
-        if (sanitizer_) sanitizer_->on_exchange(sp.var, frame);
-        contribute_checkpoint(sp.var, b);
-        break;
-      }
-      case automaton::CommAction::kAssembleAdd: {
-        Binding& b = frame.vars[sp.var];
-        traced_sync(span_name(sp), epoch,
-                    [&] { exchanger_.assemble(rank_, b.array); });
-        if (sanitizer_) sanitizer_->on_exchange(sp.var, frame);
-        contribute_checkpoint(sp.var, b);
-        break;
-      }
-      case automaton::CommAction::kReduceScalar: {
-        Binding& b = frame.vars[sp.var];
-        traced_sync(span_name(sp), epoch, [&] {
-          b.scalar = reduction_op(model_, sp.var) == lang::BinOp::kMul
-                         ? rank_.allreduce_prod(b.scalar)
-                         : rank_.allreduce_sum(b.scalar);
-        });
-        break;
-      }
-      case automaton::CommAction::kNone:
-        break;
-    }
+  /// A "+ reduction" of a scalar. Reductions are exempt from kElideSync and
+  /// live outside its ordinal space (epoch -1): they are collective control
+  /// flow, and eliding them symmetrically perturbs only replicated scalars,
+  /// which no cell-granular oracle can flag.
+  void run_reduction(const placement::SyncPoint& sp, Frame& frame) {
+    Binding& b = frame.vars[sp.var];
+    traced_sync(std::string("sync:") + placement::method_name(sp.action) +
+                    ":" + sp.var,
+                -1, [&] {
+                  b.scalar = reduction_op(model_, sp.var) == lang::BinOp::kMul
+                                 ? rank_.allreduce_prod(b.scalar)
+                                 : rank_.allreduce_sum(b.scalar);
+                });
   }
 
   /// Runs one communication action under a trace span carrying the traffic
-  /// it produced: a "sync:<method>:<var>" complete event with this rank's
+  /// it produced: a "sync:<method>:<vars>" complete event with this rank's
   /// message/byte deltas, plus one "comm/edge" counter per touched
   /// neighbor and direction. `epoch` is the coherence-sync ordinal (-1 for
   /// scalar reductions). The World collects per-edge counters whenever a
   /// tracer is installed, so the deltas below are well-defined; with
   /// tracing off this is a single relaxed load and the body alone.
-  [[nodiscard]] static std::string span_name(const placement::SyncPoint& sp) {
-    return std::string("sync:") + placement::method_name(sp.action) + ":" +
-           sp.var;
-  }
-
   template <typename Body>
   void traced_sync(const std::string& name, long long epoch, Body&& body) {
     trace::Tracer* t = trace::current();
@@ -461,10 +426,8 @@ class SpmdHooks : public ExecHooks {
   /// for triangles. Only 1-D entity arrays participate (the synced
   /// variables always are); anything else is skipped symmetrically on
   /// every rank, so epoch completeness is unaffected.
-  void contribute_checkpoint(const std::string& var, const Binding& b) {
-    if (checkpoint_ordinal_ < 0) return;
-    const long long ordinal = checkpoint_ordinal_;
-    checkpoint_ordinal_ = -1;
+  void contribute_checkpoint(long long ordinal, const std::string& var,
+                             const Binding& b) {
     const SubMesh& sub = d_.subs[rank_.id()];
     auto entity = model_.spec().entity_of(var);
     std::vector<std::pair<int, double>> owned;
@@ -484,14 +447,47 @@ class SpmdHooks : public ExecHooks {
   }
 };
 
-void bind_common_scalars(Frame& frame, const MeshBinding& binding) {
+/// Binds `binding` into `frame` as the rank holding `sub` sees it: node
+/// and triangle fields localized through the sub-mesh's local-to-global
+/// maps, the builder arrays built from it, and the declared entity arrays
+/// the binding leaves out (locals such as OLD and NEW, and the outputs)
+/// sized to its local extents, not the over-declared Fortran ones. The
+/// bounds nsom/ntri default to the local "all" counts; partitioned loops
+/// override them per domain anyway.
+void bind_mesh(Frame& frame, const ProgramModel& model,
+               const MeshBinding& binding, const SubMesh& sub) {
   for (const auto& [name, v] : binding.scalars) frame.set_scalar(name, v);
+  auto localize = [&](const std::string& name, const std::vector<double>& field,
+                      const std::vector<int>& l2g) {
+    std::vector<double> local(l2g.size());
+    for (std::size_t l = 0; l < l2g.size(); ++l) local[l] = field[l2g[l]];
+    frame.set_array(name, std::move(local),
+                    {static_cast<long long>(l2g.size())});
+  };
+  for (const auto& [name, field] : binding.node_fields)
+    localize(name, field, sub.node_l2g);
+  for (const auto& [name, field] : binding.tri_fields)
+    localize(name, field, sub.tri_l2g);
+  for (const auto& [name, builder] : binding.local_builders) {
+    auto [values, dims] = builder(sub);
+    frame.set_array(name, std::move(values), std::move(dims));
+  }
+  for (const auto& decl : model.sub().decls) {
+    if (!decl.is_array() || frame.has(decl.name)) continue;
+    auto entity = model.spec().entity_of(decl.name);
+    if (!entity) continue;
+    long long n = *entity == automaton::EntityKind::kNode
+                      ? static_cast<long long>(sub.node_l2g.size())
+                      : static_cast<long long>(sub.tri_l2g.size());
+    frame.set_array(decl.name, std::vector<double>(n, 0.0), {n});
+  }
+  frame.set_scalar("nsom", sub.local.num_nodes());
+  frame.set_scalar("ntri", sub.local.num_tris());
 }
 
-RunResult collect_scalars(const Frame& frame, RunResult r) {
+void collect_scalars(const Frame& frame, RunResult& r) {
   for (const auto& [name, b] : frame.vars)
     if (!b.is_array) r.scalars[name] = b.scalar;
-  return r;
 }
 
 }  // namespace
@@ -546,33 +542,17 @@ MeshBinding synthetic_binding(const placement::ProgramModel& model,
 RunResult run_sequential(const ProgramModel& model, const mesh::Mesh2D& m,
                          const MeshBinding& binding) {
   RunResult out;
+  // Sequentially, one rank holds the whole mesh: a sub-mesh whose
+  // local-to-global maps are the identity.
+  SubMesh whole;
+  whole.local = m;
+  whole.num_kernel_nodes = m.num_nodes();
+  whole.node_l2g.resize(static_cast<std::size_t>(m.num_nodes()));
+  std::iota(whole.node_l2g.begin(), whole.node_l2g.end(), 0);
+  whole.tri_l2g.resize(static_cast<std::size_t>(m.num_tris()));
+  std::iota(whole.tri_l2g.begin(), whole.tri_l2g.end(), 0);
   Frame frame;
-  bind_common_scalars(frame, binding);
-  for (const auto& [name, field] : binding.node_fields)
-    frame.set_array(name, field, {static_cast<long long>(field.size())});
-  for (const auto& [name, field] : binding.tri_fields)
-    frame.set_array(name, field, {static_cast<long long>(field.size())});
-  for (const auto& [name, builder] : binding.local_builders) {
-    // Sequentially, "local" means the whole mesh: build from a trivial
-    // one-part decomposition-like view. The TESTT builder only uses
-    // sub.local, so synthesize it.
-    SubMesh whole;
-    whole.local = m;
-    whole.num_kernel_nodes = m.num_nodes();
-    auto [values, dims] = builder(whole);
-    frame.set_array(name, std::move(values), std::move(dims));
-  }
-  // Entity arrays not provided by the binding (locals and outputs) get
-  // mesh-sized storage, not the over-declared Fortran extents.
-  for (const auto& decl : model.sub().decls) {
-    if (!decl.is_array() || frame.has(decl.name)) continue;
-    auto entity = model.spec().entity_of(decl.name);
-    if (!entity) continue;
-    long long n = *entity == automaton::EntityKind::kNode
-                      ? m.num_nodes()
-                      : m.num_tris();
-    frame.set_array(decl.name, std::vector<double>(n, 0.0), {n});
-  }
+  bind_mesh(frame, model, binding, whole);
   DiagnosticEngine diags;
   if (!execute(model.sub(), frame, diags)) {
     out.error = diags.str();
@@ -584,7 +564,8 @@ RunResult run_sequential(const ProgramModel& model, const mesh::Mesh2D& m,
       out.node_outputs[name] = frame.array(name);
   }
   out.ok = true;
-  return collect_scalars(frame, std::move(out));
+  collect_scalars(frame, out);
+  return out;
 }
 
 RunResult run_spmd_sanitized(runtime::World& world, const ProgramModel& model,
@@ -603,46 +584,8 @@ RunResult run_spmd_sanitized(runtime::World& world, const ProgramModel& model,
   if (report) coherence = std::make_unique<CoherenceModel>(model);
 
   auto rank_fn = [&](runtime::Rank& rank) {
-    const SubMesh& sub = d.subs[rank.id()];
     Frame frame;
-    bind_common_scalars(frame, binding);
-    // Localize mesh-entity arrays.
-    for (const auto& [name, field] : binding.node_fields) {
-      std::vector<double> local(sub.node_l2g.size());
-      for (std::size_t l = 0; l < sub.node_l2g.size(); ++l)
-        local[l] = field[sub.node_l2g[l]];
-      frame.set_array(name, std::move(local),
-                      {static_cast<long long>(sub.node_l2g.size())});
-    }
-    for (const auto& [name, field] : binding.tri_fields) {
-      std::vector<double> local(sub.tri_l2g.size());
-      for (std::size_t l = 0; l < sub.tri_l2g.size(); ++l)
-        local[l] = field[sub.tri_l2g[l]];
-      frame.set_array(name, std::move(local),
-                      {static_cast<long long>(sub.tri_l2g.size())});
-    }
-    for (const auto& [name, builder] : binding.local_builders) {
-      auto [values, dims] = builder(sub);
-      frame.set_array(name, std::move(values), std::move(dims));
-    }
-    // Declared node/triangle arrays that are pure locals (OLD, NEW, ...)
-    // must have local extents, not the over-declared global ones.
-    for (const auto& d2 : model.sub().decls) {
-      if (!d2.is_array() || frame.has(d2.name)) continue;
-      auto entity = model.spec().entity_of(d2.name);
-      if (!entity) continue;
-      long long n = *entity == automaton::EntityKind::kNode
-                        ? static_cast<long long>(sub.node_l2g.size())
-                        : static_cast<long long>(sub.tri_l2g.size());
-      frame.set_array(d2.name, std::vector<double>(n, 0.0), {n});
-    }
-    // Bounds default to the local "all" counts; partitioned loops override
-    // them per-domain anyway.
-    frame.set_scalar("nsom", sub.local.num_nodes());
-    frame.set_scalar("ntri", sub.local.num_tris());
-    for (const auto& [name, v] : binding.scalars) {
-      if (name != "nsom" && name != "ntri") frame.set_scalar(name, v);
-    }
+    bind_mesh(frame, model, binding, d.subs[rank.id()]);
 
     std::unique_ptr<RankSanitizer> sanitizer;
     if (report)
@@ -679,8 +622,7 @@ RunResult run_spmd_sanitized(runtime::World& world, const ProgramModel& model,
       out.sync_executions = hooks.sync_executions();
       for (auto& [name, field] : gathered)
         out.node_outputs[name] = std::move(field);
-      for (const auto& [name, b] : frame.vars)
-        if (!b.is_array) out.scalars[name] = b.scalar;
+      collect_scalars(frame, out);
     }
   };
 
@@ -725,6 +667,26 @@ RunResult run_spmd_sanitized(runtime::World& world, const ProgramModel& model,
   }
   out.ok = true;
   return out;
+}
+
+bool bitwise_identical(const RunResult& a, const RunResult& b) {
+  auto same_bits = [](const double* x, const double* y, std::size_t n) {
+    return n == 0 || std::memcmp(x, y, n * sizeof(double)) == 0;
+  };
+  if (a.node_outputs.size() != b.node_outputs.size() ||
+      a.scalars.size() != b.scalars.size())
+    return false;
+  for (const auto& [name, field] : a.node_outputs) {
+    auto it = b.node_outputs.find(name);
+    if (it == b.node_outputs.end() || it->second.size() != field.size() ||
+        !same_bits(field.data(), it->second.data(), field.size()))
+      return false;
+  }
+  for (const auto& [name, v] : a.scalars) {
+    auto it = b.scalars.find(name);
+    if (it == b.scalars.end() || !same_bits(&v, &it->second, 1)) return false;
+  }
+  return true;
 }
 
 RunResult run_spmd(runtime::World& world, const ProgramModel& model,

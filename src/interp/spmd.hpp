@@ -12,6 +12,13 @@
 //     before the statements the placement selected (and at exit),
 // so that EVERY placement the engine enumerates can be executed and
 // checked against the sequential interpretation of the original program.
+//
+// Each step has one path. One binder localizes the mesh data for a rank's
+// sub-mesh; the sequential run is the one rank holding the whole mesh. One
+// sync runner executes every overlap update and assembly as a fuse group
+// (an unfused sync is a group of one) through a single
+// runtime::Exchanger::exchange call, traced as "sync:<method>:<vars>".
+// Runs are compared bit for bit by bitwise_identical.
 #pragma once
 
 #include <functional>
@@ -132,6 +139,12 @@ RunResult run_spmd_sanitized(runtime::World& world,
                              const mesh::Mesh2D& m, const MeshBinding& binding,
                              StalenessReport* report,
                              CheckpointStore* ckpt = nullptr);
+
+/// Bitwise equality of two runs' observable outputs: the same node output
+/// and scalar names with the same bit patterns. operator== on double would
+/// call -0.0 equal to 0.0 and a NaN unequal to itself; the runtime is
+/// deterministic, so repeat runs must match bit for bit.
+[[nodiscard]] bool bitwise_identical(const RunResult& a, const RunResult& b);
 
 /// The standard binding for TESTT-shaped programs: SOM built from local
 /// triangles (1-based), AIRETRI/AIRESOM from the global areas; callers add

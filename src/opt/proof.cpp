@@ -1,6 +1,5 @@
 #include "opt/proof.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "interp/spmd.hpp"
@@ -32,35 +31,6 @@ std::size_t OptimizeReport::fused() const {
     if (!s.rolled_back) n += s.pass.fused;
   return n;
 }
-
-namespace {
-
-/// Bitwise equality of two runs' observable outputs. operator== on double
-/// would call -0.0 == 0.0 equal (and NaN unequal to itself); the proof
-/// wants the stronger bit-pattern identity, so compare representations.
-bool bitwise_identical(const interp::RunResult& a,
-                       const interp::RunResult& b) {
-  if (a.node_outputs.size() != b.node_outputs.size()) return false;
-  for (const auto& [name, field] : a.node_outputs) {
-    auto it = b.node_outputs.find(name);
-    if (it == b.node_outputs.end() || it->second.size() != field.size())
-      return false;
-    if (!field.empty() &&
-        std::memcmp(field.data(), it->second.data(),
-                    field.size() * sizeof(double)) != 0)
-      return false;
-  }
-  if (a.scalars.size() != b.scalars.size()) return false;
-  for (const auto& [name, v] : a.scalars) {
-    auto it = b.scalars.find(name);
-    if (it == b.scalars.end() ||
-        std::memcmp(&v, &it->second, sizeof(double)) != 0)
-      return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 OptimizeReport optimize_placement(const ProgramModel& model,
                                   const placement::FlowGraph& fg,
@@ -179,7 +149,7 @@ OptimizeReport optimize_placement(const ProgramModel& model,
       rep.notes.push_back("dynamic proof failed to run: " +
                           (raw.ok ? opt.error : raw.error));
     } else {
-      rep.dynamic_identical = bitwise_identical(raw, opt);
+      rep.dynamic_identical = interp::bitwise_identical(raw, opt);
       rep.sanitizer_clean = opt_stale.clean();
       if (!rep.dynamic_identical)
         rep.notes.push_back("optimized run diverged from the raw run");

@@ -69,17 +69,21 @@ CostReport simulate_cost(const ProgramModel& model, const Placement& p,
   return r;
 }
 
+overlap::Decomposition decomposition_for(const ProgramModel& model,
+                                         const mesh::Mesh2D& m, int parts) {
+  const partition::NodePartition part =
+      partition::partition_nodes(m, parts, partition::Algorithm::kRcb);
+  return model.autom().pattern() == automaton::PatternKind::kNodeBoundary
+             ? overlap::decompose_node_boundary(m, part)
+             : overlap::decompose_entity_layer(m, part,
+                                               model.autom().halo_depth());
+}
+
 overlap::Decomposition example_decomposition(const ProgramModel& model,
                                              mesh::Mesh2D* mesh_out,
                                              int parts) {
   mesh::Mesh2D m = mesh::rectangle(10, 10);
-  partition::NodePartition part =
-      partition::partition_nodes(m, parts, partition::Algorithm::kRcb);
-  overlap::Decomposition d =
-      model.autom().pattern() == automaton::PatternKind::kNodeBoundary
-          ? overlap::decompose_node_boundary(m, part)
-          : overlap::decompose_entity_layer(m, part,
-                                            model.autom().halo_depth());
+  overlap::Decomposition d = decomposition_for(model, m, parts);
   if (mesh_out) *mesh_out = std::move(m);
   return d;
 }

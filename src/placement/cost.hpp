@@ -49,10 +49,16 @@ struct CostReport {
                                        const Placement& p,
                                        const overlap::Decomposition& d);
 
+/// The decomposition every SPMD run of `model` executes on: `m`
+/// RCB-partitioned into `parts` parts and overlapped by the model's pattern
+/// (node boundary, or entity layers to the automaton's halo depth).
+[[nodiscard]] overlap::Decomposition decomposition_for(
+    const ProgramModel& model, const mesh::Mesh2D& m, int parts);
+
 /// The canonical example decomposition every CLI cost surface uses — the
 /// same configuration `mptool verify --dynamic` runs against: a 10x10
-/// rectangle mesh, RCB-partitioned into `parts` parts, overlapped by the
-/// model's pattern. `mesh_out` (optional) receives the generated mesh.
+/// rectangle mesh through decomposition_for. `mesh_out` (optional)
+/// receives the generated mesh.
 [[nodiscard]] overlap::Decomposition example_decomposition(
     const ProgramModel& model, mesh::Mesh2D* mesh_out = nullptr,
     int parts = 3);

@@ -32,9 +32,6 @@ struct MachineModel {
   }
 
   static MachineModel mpp1994() { return {80e-6, 1e-7, 25e6}; }
-  /// A modern cluster for comparison benches (lower latency, much higher
-  /// bandwidth and flop rate).
-  static MachineModel cluster2020() { return {2e-6, 1e-10, 5e9}; }
 };
 
 }  // namespace meshpar::runtime

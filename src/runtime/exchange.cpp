@@ -2,87 +2,30 @@
 
 namespace meshpar::runtime {
 
-void Exchanger::update(Rank& rank, std::vector<double>& field) const {
+void Exchanger::exchange(Rank& rank,
+                         std::span<std::vector<double>* const> fields,
+                         Combine combine) const {
   // Post all sends.
   std::vector<double> buf;
   for (const auto& msg : sends_) {
     buf.clear();
-    buf.reserve(msg.indices.size());
-    for (int idx : msg.indices) buf.push_back(field[idx]);
-    rank.send(msg.peer, tag_base_ + me_, buf);
-  }
-  // Receive in peer order, overwrite overlap copies.
-  for (const auto& msg : recvs_) {
-    std::vector<double> in = rank.recv(msg.peer, tag_base_ + msg.peer);
-    for (std::size_t i = 0; i < msg.indices.size(); ++i)
-      field[msg.indices[i]] = in[i];
-  }
-}
-
-void Exchanger::assemble(Rank& rank, std::vector<double>& field) const {
-  // Snapshot the partial values first: every peer must receive the
-  // pre-assembly partials.
-  std::vector<double> buf;
-  for (const auto& msg : sends_) {
-    buf.clear();
-    buf.reserve(msg.indices.size());
-    for (int idx : msg.indices) buf.push_back(field[idx]);
-    rank.send(msg.peer, tag_base_ + me_, buf);
-  }
-  for (const auto& msg : recvs_) {
-    std::vector<double> in = rank.recv(msg.peer, tag_base_ + msg.peer);
-    for (std::size_t i = 0; i < msg.indices.size(); ++i)
-      field[msg.indices[i]] += in[i];
-  }
-}
-
-void Exchanger::update_many(
-    Rank& rank, const std::vector<std::vector<double>*>& fields) const {
-  std::vector<double> buf;
-  for (const auto& msg : sends_) {
-    buf.clear();
     buf.reserve(msg.indices.size() * fields.size());
     for (const std::vector<double>* f : fields)
       for (int idx : msg.indices) buf.push_back((*f)[idx]);
     rank.send(msg.peer, tag_base_ + me_, buf);
   }
+  // Receive in peer order and combine into each field's cells.
   for (const auto& msg : recvs_) {
     std::vector<double> in = rank.recv(msg.peer, tag_base_ + msg.peer);
     std::size_t off = 0;
     for (std::vector<double>* f : fields) {
-      for (std::size_t i = 0; i < msg.indices.size(); ++i)
-        (*f)[msg.indices[i]] = in[off + i];
+      for (std::size_t i = 0; i < msg.indices.size(); ++i) {
+        double& cell = (*f)[msg.indices[i]];
+        cell = combine == Combine::kCopy ? in[off + i] : cell + in[off + i];
+      }
       off += msg.indices.size();
     }
   }
-}
-
-void Exchanger::assemble_many(
-    Rank& rank, const std::vector<std::vector<double>*>& fields) const {
-  std::vector<double> buf;
-  for (const auto& msg : sends_) {
-    buf.clear();
-    buf.reserve(msg.indices.size() * fields.size());
-    for (const std::vector<double>* f : fields)
-      for (int idx : msg.indices) buf.push_back((*f)[idx]);
-    rank.send(msg.peer, tag_base_ + me_, buf);
-  }
-  for (const auto& msg : recvs_) {
-    std::vector<double> in = rank.recv(msg.peer, tag_base_ + msg.peer);
-    std::size_t off = 0;
-    for (std::vector<double>* f : fields) {
-      for (std::size_t i = 0; i < msg.indices.size(); ++i)
-        (*f)[msg.indices[i]] += in[off + i];
-      off += msg.indices.size();
-    }
-  }
-}
-
-void Exchanger::sync(Rank& rank, std::vector<double>& field) const {
-  if (pattern_ == automaton::PatternKind::kEntityLayer)
-    update(rank, field);
-  else
-    assemble(rank, field);
 }
 
 }  // namespace meshpar::runtime

@@ -211,8 +211,7 @@ std::vector<double> smooth3d_spmd(runtime::World& world,
 
   world.run([&](runtime::Rank& rank) {
     const overlap::SubMesh3D& sub = d.subs[rank.id()];
-    const runtime::Exchanger ex(automaton::PatternKind::kEntityLayer,
-                                d.sends[rank.id()], d.recvs[rank.id()],
+    const runtime::Exchanger ex(d.sends[rank.id()], d.recvs[rank.id()],
                                 rank.id());
     const int nl = static_cast<int>(sub.node_l2g.size());
 

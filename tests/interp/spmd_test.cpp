@@ -361,5 +361,46 @@ TEST(SpmdFaults, BaselineRunCountsSyncExecutions) {
   EXPECT_GT(par.sync_executions, 0);
 }
 
+TEST(RunComparison, BitwiseIdenticalComparesBitPatterns) {
+  RunResult a;
+  a.node_outputs["new"] = {1.5, 0.0, -2.25};
+  a.scalars["resu"] = 0.125;
+  EXPECT_TRUE(bitwise_identical(a, a));
+
+  // -0.0 == 0.0 as doubles, but the bit patterns differ.
+  RunResult b = a;
+  b.node_outputs["new"][1] = -0.0;
+  EXPECT_FALSE(bitwise_identical(a, b));
+  b = a;
+  b.scalars["resu"] = 0.0;
+  a.scalars["resu"] = -0.0;
+  EXPECT_FALSE(bitwise_identical(a, b));
+  a.scalars["resu"] = 0.125;
+
+  // A NaN is unequal to itself as a double, but an identical NaN has the
+  // same bits.
+  RunResult n = a;
+  n.node_outputs["new"][2] = std::nan("");
+  n.scalars["resu"] = std::nan("");
+  EXPECT_TRUE(bitwise_identical(n, RunResult(n)));
+
+  // A missing output or scalar differs, in either direction.
+  RunResult missing = a;
+  missing.node_outputs.erase("new");
+  EXPECT_FALSE(bitwise_identical(a, missing));
+  EXPECT_FALSE(bitwise_identical(missing, a));
+  missing = a;
+  missing.scalars.erase("resu");
+  EXPECT_FALSE(bitwise_identical(a, missing));
+  EXPECT_FALSE(bitwise_identical(missing, a));
+  // So does a renamed one, and a field of another length.
+  RunResult renamed = a;
+  renamed.scalars = {{"resv", 0.125}};
+  EXPECT_FALSE(bitwise_identical(a, renamed));
+  RunResult longer = a;
+  longer.node_outputs["new"].push_back(0.0);
+  EXPECT_FALSE(bitwise_identical(a, longer));
+}
+
 }  // namespace
 }  // namespace meshpar::interp
