@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "lang/corpus.hpp"
 #include "mesh/generators.hpp"
+#include "placement/cost.hpp"
 #include "placement/tool.hpp"
 #include "solver/testt.hpp"
 
@@ -359,6 +363,92 @@ TEST(SpmdFaults, BaselineRunCountsSyncExecutions) {
   // One overlap update per convergence iteration; the run converges after
   // at least one iteration, so the kElideSync ordinal space is non-empty.
   EXPECT_GT(par.sync_executions, 0);
+}
+
+TEST(SpmdSanitizer, ElidedSyncFindingsArePinned) {
+  // The sanitizer's observable behaviour, pinned by hash: for the four
+  // cheapest placements of TESTT and COUPLED on the `verify --dynamic`
+  // configuration, one clean run and one run per elided coherence-sync
+  // ordinal. Each run feeds its sorted MP-S001 (loc, message) list,
+  // first_stale_sync, sync_executions and every scalar's name and bit
+  // pattern; the scalar names pin the set of bindings the interpreter
+  // materializes.
+  struct Pin {
+    const char* name;
+    std::string source, spec;
+    long long runs;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"testt", lang::testt_source(), lang::testt_spec(), 17,
+       0xe37b79518cd2a0ceull},
+      {"coupled", lang::coupled_source(), lang::coupled_spec(), 28,
+       0x9651a46f2153297full},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    placement::Compiled c = placement::compile_frontend(pin.source, pin.spec);
+    ASSERT_TRUE(c.ok()) << c.diags.str();
+    placement::ToolOptions opt;
+    opt.k_best = true;
+    opt.engine.max_solutions = 4;
+    const placement::EnumerationResult set =
+        placement::enumerate_placements(*c.model, *c.fg, opt);
+    ASSERT_EQ(set.placements.size(), 4u);
+    mesh::Mesh2D m;
+    const overlap::Decomposition d =
+        placement::example_decomposition(*c.model, &m);
+    const MeshBinding binding = synthetic_binding(*c.model, m);
+
+    std::uint64_t h = 14695981039346656037ull;
+    long long stale_runs = 0;
+    auto feed = [&](const std::string& field) {
+      for (unsigned char ch : field) {
+        h ^= ch;
+        h *= 1099511628211ull;
+      }
+      h ^= 0xff;  // field separator: no field contains this byte
+      h *= 1099511628211ull;
+    };
+    auto run = [&](const placement::Placement& p, long long elide) {
+      runtime::FaultPlan plan;
+      if (elide >= 0) {
+        runtime::Fault fault;
+        fault.kind = runtime::FaultKind::kElideSync;
+        fault.op = elide;
+        plan.add(fault);
+      }
+      runtime::WorldOptions wopts;
+      wopts.faults = &plan;
+      runtime::World w(static_cast<int>(d.subs.size()), wopts);
+      StalenessReport report;
+      RunResult r =
+          run_spmd_sanitized(w, *c.model, p, d, m, binding, &report);
+      std::vector<std::string> findings;
+      for (const Diagnostic& f : report.findings)
+        findings.push_back(to_string(f.loc) + " " + f.message);
+      std::sort(findings.begin(), findings.end());
+      if (!findings.empty()) ++stale_runs;
+      feed(r.ok ? "ok" : "failed");
+      for (const std::string& f : findings) feed(f);
+      feed(std::to_string(r.first_stale_sync));
+      feed(std::to_string(r.sync_executions));
+      for (const auto& [name, v] : r.scalars)
+        feed(name + "=" + std::to_string(std::bit_cast<std::uint64_t>(v)));
+      return r;
+    };
+    long long runs = 0;
+    for (const placement::Placement& p : set.placements) {
+      const RunResult clean = run(p, -1);
+      ASSERT_TRUE(clean.ok) << clean.error;
+      ++runs;
+      for (long long k = 0; k < clean.sync_executions; ++k, ++runs)
+        run(p, k);
+    }
+    EXPECT_EQ(runs, pin.runs);
+    EXPECT_GT(stale_runs, 0) << "no elision produced a finding to pin";
+    EXPECT_EQ(h, pin.hash) << std::hex << "0x" << h;
+  }
 }
 
 TEST(RunComparison, BitwiseIdenticalComparesBitPatterns) {
