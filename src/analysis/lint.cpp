@@ -33,8 +33,8 @@ class LintPass {
            const LintOptions& options)
       : model_(model), placement_(placement), opts_(options), coh_(model),
         cfg_(model.cfg()), depth_(coh_.depth()) {
-    for (const auto& [var, entity] : coh_.tracked()) {
-      (void)entity;
+    for (const auto& [var, entity] : model_.spec().arrays) {
+      if (!CoherenceModel::tracks(entity)) continue;
       index_.emplace(var, static_cast<int>(names_.size()));
       names_.push_back(var);
     }
@@ -185,7 +185,7 @@ class LintPass {
     const dfg::StmtDefUse& du = model_.defuse(*stmt);
     int w = coh_.write_valid_layers(*stmt, access_layers(*stmt, *du.def));
     int v = index_.at(*dv);
-    if (coh_.is_first_write(*stmt, *dv)) {
+    if (coh_.is_first_write(*stmt)) {
       // Generation switch: what was fresh becomes the lag-1 value.
       for (auto* b : {&s.lo, &s.hi}) {
         (*b)[v].prev = std::max(w, (*b)[v].fresh);
@@ -346,9 +346,7 @@ class LintPass {
   }
 
   [[nodiscard]] const char* comm_name(const std::string& var) const {
-    auto it = coh_.tracked().find(var);
-    if (it == coh_.tracked().end() ||
-        it->second != automaton::EntityKind::kNode)
+    if (model_.spec().entity_of(var) != automaton::EntityKind::kNode)
       return "domain extension";
     return coh_.pattern() == automaton::PatternKind::kEntityLayer
                ? "overlap-som"
@@ -445,8 +443,9 @@ class LintPass {
     // unknown cell; require the kernel bound (matching the sanitizer,
     // which checks the concrete — usually kernel — cell).
     int r = layers < 0 ? 0 : coh_.read_required_layers(use.shape, layers);
+    // A previous-generation read is of the variable `s` itself defines.
     bool lagged = rc == ReadCheck::kPreviousGeneration &&
-                  !coh_.is_first_write(s, use.var);
+                  !coh_.is_first_write(s);
     int have_hi = lagged ? st.hi[v].prev : st.hi[v].fresh;
     int have_lo = lagged ? st.lo[v].prev : st.lo[v].fresh;
     if (have_hi >= r) {

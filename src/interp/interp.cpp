@@ -48,7 +48,7 @@ class Machine {
   Machine(const lang::Subroutine& sub, Frame& frame, DiagnosticEngine& diags,
           const ExecOptions& options, ExecHooks* hooks)
       : sub_(sub), frame_(frame), diags_(diags), options_(options),
-        hooks_(hooks) {}
+        hooks_(hooks), slots_(sub.symbols.size(), nullptr) {}
 
   bool run() {
     Flow f = run_list(sub_.body);
@@ -66,6 +66,9 @@ class Machine {
   DiagnosticEngine& diags_;
   const ExecOptions& options_;
   ExecHooks* hooks_;
+  // Binding of each symbol, filled on first use. Frame::vars is a std::map,
+  // whose nodes never move, so the cached pointers stay valid.
+  std::vector<Binding*> slots_;
   bool ok_ = true;
   long long steps_ = 0;
   const Stmt* cur_ = nullptr;  // statement whose evaluation is in progress
@@ -108,6 +111,16 @@ class Machine {
       b.scalar = 0.0;
     }
     return frame_.vars.emplace(name, std::move(b)).first->second;
+  }
+
+  /// The binding of symbol `sym` (named `name`); an unresolved reference
+  /// (sym < 0) falls back to the by-name lookup.
+  Binding& binding(const std::string& name, int sym, SrcLoc loc) {
+    if (static_cast<std::size_t>(sym) >= slots_.size())
+      return materialize(name, loc);
+    Binding*& slot = slots_[static_cast<std::size_t>(sym)];
+    if (!slot) slot = &materialize(name, loc);
+    return *slot;
   }
 
   /// Column-major flat index, 1-based subscripts; -1 on error.
@@ -157,7 +170,7 @@ class Machine {
       case ExprKind::kRealLit:
         return e.real_val;
       case ExprKind::kVarRef: {
-        Binding& b = materialize(e.name, e.loc);
+        Binding& b = binding(e.name, e.sym, e.loc);
         if (b.is_array) {
           error(e.loc, "array '" + e.name + "' used without subscripts");
           return 0.0;
@@ -165,14 +178,14 @@ class Machine {
         return b.scalar;
       }
       case ExprKind::kArrayRef: {
-        Binding& b = materialize(e.name, e.loc);
+        Binding& b = binding(e.name, e.sym, e.loc);
         if (!b.is_array) {
           error(e.loc, "scalar '" + e.name + "' used with subscripts");
           return 0.0;
         }
         long long idx = flat_index(b, e);
         if (idx < 0) return 0.0;
-        if (hooks_ && cur_) hooks_->on_array_read(*cur_, e.name, idx, frame_);
+        if (hooks_ && cur_) hooks_->on_array_read(*cur_, e, idx, b);
         return b.array[static_cast<std::size_t>(idx)];
       }
       case ExprKind::kUnary: {
@@ -241,8 +254,8 @@ class Machine {
       case StmtKind::kAssign: {
         double v = eval(*s.rhs);
         if (!ok_) return {FlowKind::kError, 0};
+        Binding& b = binding(s.lhs->name, s.lhs->sym, s.lhs->loc);
         if (s.lhs->kind == ExprKind::kVarRef) {
-          Binding& b = materialize(s.lhs->name, s.lhs->loc);
           if (b.is_array) {
             error(s.lhs->loc, "assignment to array '" + s.lhs->name +
                                   "' without subscripts");
@@ -250,7 +263,6 @@ class Machine {
           }
           b.scalar = v;
         } else {
-          Binding& b = materialize(s.lhs->name, s.lhs->loc);
           if (!b.is_array) {
             error(s.lhs->loc,
                   "subscripted assignment to scalar '" + s.lhs->name + "'");
@@ -259,7 +271,7 @@ class Machine {
           long long idx = flat_index(b, *s.lhs);
           if (idx < 0) return {FlowKind::kError, 0};
           b.array[static_cast<std::size_t>(idx)] = v;
-          if (hooks_) hooks_->on_array_write(s, s.lhs->name, idx, frame_);
+          if (hooks_) hooks_->on_array_write(s, *s.lhs, idx, b);
         }
         return {};
       }
@@ -275,7 +287,7 @@ class Machine {
           return {FlowKind::kError, 0};
         }
         if (hooks_) hooks_->override_loop_bound(s, &hi);
-        Binding& var = materialize(s.do_var, s.loc);
+        Binding& var = binding(s.do_var, s.do_sym, s.loc);
         for (long long v = lo; step > 0 ? v <= hi : v >= hi; v += step) {
           var.scalar = static_cast<double>(v);
           Flow f = run_list(s.body);

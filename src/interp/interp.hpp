@@ -54,7 +54,10 @@ struct ExecOptions {
 };
 
 /// Hooks let the SPMD interpreter intercept execution; the sequential
-/// interpreter uses the defaults.
+/// interpreter uses the defaults. The element hooks run once per array
+/// access, so they receive the resolved reference (Expr::sym names the
+/// variable without a string compare) and its binding rather than a name
+/// to look up.
 class ExecHooks {
  public:
   virtual ~ExecHooks() = default;
@@ -63,14 +66,16 @@ class ExecHooks {
   /// Called at subroutine exit (end-of-program synchronizations).
   virtual void at_exit(Frame&) {}
   /// Called after an array element is read (`idx` is the flat column-major
-  /// index). `stmt` is the innermost statement whose evaluation reads it.
+  /// index into `b.array`). `stmt` is the innermost statement whose
+  /// evaluation reads it; `ref` is the array reference.
   virtual void on_array_read(const lang::Stmt& /*stmt*/,
-                             const std::string& /*var*/, long long /*idx*/,
-                             Frame&) {}
-  /// Called after an array element is stored.
+                             const lang::Expr& /*ref*/, long long /*idx*/,
+                             const Binding& /*b*/) {}
+  /// Called after an array element is stored (`ref` is the assignment's
+  /// left-hand side).
   virtual void on_array_write(const lang::Stmt& /*stmt*/,
-                              const std::string& /*var*/, long long /*idx*/,
-                              Frame&) {}
+                              const lang::Expr& /*ref*/, long long /*idx*/,
+                              const Binding& /*b*/) {}
   /// Override a DO loop's trip range. Return false to keep 1..hi as
   /// evaluated. `hi` is in/out.
   virtual bool override_loop_bound(const lang::Stmt&, long long* /*hi*/) {
@@ -81,6 +86,9 @@ class ExecHooks {
 /// Executes the subroutine body against the frame. Parameters and locals
 /// must already be bound (locals may be bound lazily: unbound scalars
 /// default to 0, unbound arrays are allocated from their declaration).
+/// Variables are reached through the subroutine's resolved symbols
+/// (lang::number_statements, which the parser already runs): each symbol's
+/// binding is looked up by name once, on first use, and cached by index.
 /// Reports runtime errors (bad subscript, missing declaration, CALL,
 /// unresolved GOTO) through `diags`; returns false on error.
 bool execute(const lang::Subroutine& sub, Frame& frame,

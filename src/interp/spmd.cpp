@@ -60,10 +60,12 @@ lang::BinOp reduction_op(const ProgramModel& model, const std::string& var) {
 /// static analyzer and this sanitizer can never disagree about it.
 class RankSanitizer {
  public:
-  RankSanitizer(const CoherenceModel& coherence, const Placement& placement,
-                const Decomposition& d, int rank_id)
-      : coh_(coherence), pattern_(d.pattern), sub_(d.subs[rank_id]) {
-    for (const auto& dom : placement.domains) layers_[dom.loop] = dom.layers;
+  /// `layers` is the placement's iteration domain per Stmt::id (-1 where
+  /// the statement has none).
+  RankSanitizer(const CoherenceModel& coherence, const std::vector<int>& layers,
+                std::size_t num_symbols, const Decomposition& d, int rank_id)
+      : coh_(coherence), pattern_(d.pattern), sub_(d.subs[rank_id]),
+        layers_(layers), clock_(num_symbols, 0), epochs_(num_symbols) {
     if (pattern_ == automaton::PatternKind::kNodeBoundary) {
       shared_.assign(sub_.node_l2g.size(), 0);
       for (const auto* msgs : {&d.sends[rank_id], &d.recvs[rank_id]})
@@ -78,36 +80,33 @@ class RankSanitizer {
   /// (a communication placed before a loop refreshes the *previous*
   /// generation, not the one the loop is about to produce).
   void on_statement(const lang::Stmt& s) {
-    const std::vector<std::string>* vars = coh_.ticks(s);
-    if (!vars) return;
-    for (const std::string& var : *vars) ++clock_[var];
+    for (int sym : coh_.ticks(s)) ++clock_[static_cast<std::size_t>(sym)];
   }
 
-  /// An overlap update/assembly of `var` just completed: every cell now
-  /// carries the coherent (owner / fully summed) value.
-  void on_exchange(const std::string& var, Frame& frame) {
-    if (!coh_.is_tracked(var)) return;
-    std::vector<long long>& ep = epochs(var, frame);
-    std::fill(ep.begin(), ep.end(), clock_[var]);
+  /// An overlap update/assembly of symbol `sym` (bound to `b`) just
+  /// completed: every cell now carries the coherent (owner / fully summed)
+  /// value.
+  void on_exchange(int sym, const Binding& b) {
+    if (!coh_.tracked(sym)) return;
+    std::vector<long long>& ep = epochs(sym, b);
+    std::fill(ep.begin(), ep.end(), clock_[static_cast<std::size_t>(sym)]);
   }
 
-  void on_write(const lang::Stmt& s, const std::string& var, long long idx,
-                Frame& frame) {
-    auto tr = coh_.tracked().find(var);
-    if (tr == coh_.tracked().end()) return;
-    std::vector<long long>& ep = epochs(var, frame);
+  void on_write(const lang::Stmt& s, const lang::Expr& ref, long long idx,
+                const Binding& b) {
+    const auto entity_kind = coh_.tracked(ref.sym);
+    if (!entity_kind) return;
+    std::vector<long long>& ep = epochs(ref.sym, b);
     if (idx < 0 || idx >= static_cast<long long>(ep.size())) return;
     bool complete = true;
-    if (coh_.is_scatter(s) && tr->second == automaton::EntityKind::kNode) {
-      long long entity = entity_index(var, idx, frame);
+    if (coh_.is_scatter(s) && *entity_kind == automaton::EntityKind::kNode) {
+      long long entity = entity_index(idx, b);
       if (pattern_ == automaton::PatternKind::kEntityLayer) {
         // Nodes of layer j collect contributions from triangles of layer
         // <= j+1; iterating k layers completes only nodes with j <= k-1.
         int k = 0;
-        if (const lang::Stmt* lp = coh_.partitioned_loop(s)) {
-          auto dk = layers_.find(lp);
-          if (dk != layers_.end()) k = dk->second;
-        }
+        if (const lang::Stmt* lp = coh_.partitioned_loop(s))
+          k = std::max(layers_[static_cast<std::size_t>(lp->id)], 0);
         complete = entity < static_cast<long long>(sub_.node_layer.size()) &&
                    sub_.node_layer[static_cast<std::size_t>(entity)] <= k - 1;
       } else {
@@ -116,19 +115,20 @@ class RankSanitizer {
                    shared_[static_cast<std::size_t>(entity)] == 0;
       }
     }
-    ep[static_cast<std::size_t>(idx)] = complete ? clock_[var] : clock_[var] - 1;
+    const long long c = clock_[static_cast<std::size_t>(ref.sym)];
+    ep[static_cast<std::size_t>(idx)] = complete ? c : c - 1;
   }
 
-  void on_read(const lang::Stmt& s, const std::string& var, long long idx,
-               Frame& frame) {
-    auto tr = coh_.tracked().find(var);
-    if (tr == coh_.tracked().end()) return;
-    long long c = clock_[var];
+  void on_read(const lang::Stmt& s, const lang::Expr& ref, long long idx,
+               const Binding& b) {
+    const auto entity_kind = coh_.tracked(ref.sym);
+    if (!entity_kind) return;
+    long long c = clock_[static_cast<std::size_t>(ref.sym)];
     if (c == 0) return;  // nothing written yet: initial data is coherent
-    std::vector<long long>& ep = epochs(var, frame);
+    std::vector<long long>& ep = epochs(ref.sym, b);
     if (idx < 0 || idx >= static_cast<long long>(ep.size())) return;
     long long threshold = c;
-    switch (coh_.read_check(s, var)) {
+    switch (coh_.read_check(s, ref.sym)) {
       case ReadCheck::kSkipAccumulator:
         return;
       case ReadCheck::kPreviousGeneration:
@@ -140,19 +140,18 @@ class RankSanitizer {
     long long have = ep[static_cast<std::size_t>(idx)];
     if (have >= threshold) return;
     if (first_stale_sync_ < 0) first_stale_sync_ = current_sync_;
-    if (!findings_seen_.insert({&s, var}).second) return;  // dedup per site
-    long long entity = entity_index(var, idx, frame);
-    const std::vector<int>& l2g = tr->second == automaton::EntityKind::kNode
-                                      ? sub_.node_l2g
-                                      : sub_.tri_l2g;
+    if (!findings_seen_.insert({s.id, ref.sym}).second) return;  // per site
+    long long entity = entity_index(idx, b);
+    const bool node = *entity_kind == automaton::EntityKind::kNode;
+    const std::vector<int>& l2g = node ? sub_.node_l2g : sub_.tri_l2g;
+    const std::string& var = ref.name;
     std::ostringstream os;
     os << "stale overlap read: '" << var << "(" << entity + 1 << ")'";
     if (entity >= 0 && entity < static_cast<long long>(l2g.size()))
-      os << " (global "
-         << (tr->second == automaton::EntityKind::kNode ? "node " : "triangle ")
+      os << " (global " << (node ? "node " : "triangle ")
          << l2g[static_cast<std::size_t>(entity)] + 1 << ")";
     os << " is " << threshold - have << " generation(s) behind; a '"
-       << comm_name(tr->second) << "' communication of '" << var
+       << comm_name(*entity_kind) << "' communication of '" << var
        << "' must be placed on every path reaching this statement";
     Diagnostic diag;
     diag.severity = Severity::kError;
@@ -179,33 +178,27 @@ class RankSanitizer {
   const CoherenceModel& coh_;
   automaton::PatternKind pattern_;
   const SubMesh& sub_;
-  std::map<const lang::Stmt*, int> layers_;
+  const std::vector<int>& layers_;
   std::vector<char> shared_;
-  std::map<std::string, long long> clock_;
-  std::map<std::string, std::vector<long long>> epochs_;
-  std::set<std::pair<const lang::Stmt*, std::string>> findings_seen_;
+  std::vector<long long> clock_;                // by symbol
+  std::vector<std::vector<long long>> epochs_;  // by symbol
+  std::set<std::pair<int, int>> findings_seen_;  // (Stmt::id, symbol)
   std::vector<Diagnostic> findings_;
   long long current_sync_ = -1;
   long long first_stale_sync_ = -1;
 
   /// Lazily sized shadow array (initial data is generation 0 = coherent).
-  std::vector<long long>& epochs(const std::string& var, Frame& frame) {
-    std::vector<long long>& ep = epochs_[var];
-    auto it = frame.vars.find(var);
-    std::size_t n = it != frame.vars.end() ? it->second.array.size() : 0;
-    if (ep.size() != n) ep.resize(n, 0);
+  std::vector<long long>& epochs(int sym, const Binding& b) {
+    std::vector<long long>& ep = epochs_[static_cast<std::size_t>(sym)];
+    if (ep.size() != b.array.size()) ep.resize(b.array.size(), 0);
     return ep;
   }
 
   /// First-dimension (entity) index of a flat cell: column-major, so the
   /// entity index is flat modulo the first extent.
-  long long entity_index(const std::string& var, long long idx,
-                         Frame& frame) const {
-    auto it = frame.vars.find(var);
-    if (it == frame.vars.end() || it->second.dims.empty() ||
-        it->second.dims[0] <= 0)
-      return idx;
-    return idx % it->second.dims[0];
+  static long long entity_index(long long idx, const Binding& b) {
+    if (b.dims.empty() || b.dims[0] <= 0) return idx;
+    return idx % b.dims[0];
   }
 
   [[nodiscard]] const char* comm_name(automaton::EntityKind entity) const {
@@ -215,30 +208,40 @@ class RankSanitizer {
   }
 };
 
+/// The placement's iteration-domain layers per Stmt::id; -1 for statements
+/// that are not a restricted loop.
+std::vector<int> domain_layers_by_stmt(const ProgramModel& model,
+                                       const Placement& placement) {
+  std::vector<int> layers(model.cfg().statements().size(), -1);
+  for (const auto& dom : placement.domains)
+    layers[static_cast<std::size_t>(dom.loop->id)] = dom.layers;
+  return layers;
+}
+
 /// Hooks driving one rank's execution of a placement.
 class SpmdHooks : public ExecHooks {
  public:
   SpmdHooks(const ProgramModel& model, const Placement& placement,
-            const Decomposition& d, runtime::Rank& rank,
-            RankSanitizer* sanitizer = nullptr,
+            const std::vector<int>& layers, const Decomposition& d,
+            runtime::Rank& rank, RankSanitizer* sanitizer = nullptr,
             CheckpointStore* ckpt = nullptr)
-      : model_(model), d_(d), rank_(rank),
-        exchanger_(d, rank.id()), sanitizer_(sanitizer), ckpt_(ckpt) {
+      : model_(model), d_(d), rank_(rank), exchanger_(d, rank.id()),
+        syncs_before_(model.cfg().statements().size()), layers_(layers),
+        sanitizer_(sanitizer), ckpt_(ckpt) {
     for (const auto& s : placement.syncs) {
       if (s.before)
-        syncs_before_[s.before].push_back(&s);
+        syncs_before_[static_cast<std::size_t>(s.before->id)].push_back(&s);
       else
         syncs_at_exit_.push_back(&s);
     }
-    for (const auto& dom : placement.domains) layers_[dom.loop] = dom.layers;
   }
 
   void before_statement(const lang::Stmt& s, Frame& frame) override {
     // Poll for a watchdog abort so compute-only phases (which never touch
     // the runtime) still unwind on MP-R002.
     rank_.check_abort();
-    auto it = syncs_before_.find(&s);
-    if (it != syncs_before_.end()) run_syncs(it->second, frame);
+    const auto& syncs = syncs_before_[static_cast<std::size_t>(s.id)];
+    if (!syncs.empty()) run_syncs(syncs, frame);
     // Generation ticks AFTER the syncs: a communication placed before a
     // loop coheres the previous generation, not the upcoming one.
     if (sanitizer_) sanitizer_->on_statement(s);
@@ -246,27 +249,27 @@ class SpmdHooks : public ExecHooks {
 
   void at_exit(Frame& frame) override { run_syncs(syncs_at_exit_, frame); }
 
-  void on_array_read(const lang::Stmt& s, const std::string& var,
-                     long long idx, Frame& frame) override {
-    if (sanitizer_) sanitizer_->on_read(s, var, idx, frame);
+  void on_array_read(const lang::Stmt& s, const lang::Expr& ref,
+                     long long idx, const Binding& b) override {
+    if (sanitizer_) sanitizer_->on_read(s, ref, idx, b);
   }
 
-  void on_array_write(const lang::Stmt& s, const std::string& var,
-                      long long idx, Frame& frame) override {
-    if (sanitizer_) sanitizer_->on_write(s, var, idx, frame);
+  void on_array_write(const lang::Stmt& s, const lang::Expr& ref,
+                      long long idx, const Binding& b) override {
+    if (sanitizer_) sanitizer_->on_write(s, ref, idx, b);
   }
 
   bool override_loop_bound(const lang::Stmt& s, long long* hi) override {
-    auto it = layers_.find(&s);
-    if (it == layers_.end()) return false;
+    const int layers = layers_[static_cast<std::size_t>(s.id)];
+    if (layers < 0) return false;
     const placement::LoopRule* rule = model_.partition_rule(s);
     const SubMesh& sub = d_.subs[rank_.id()];
     switch (rule->entity) {
       case automaton::EntityKind::kNode:
-        *hi = sub.nodes_up_to_layer(it->second);
+        *hi = sub.nodes_up_to_layer(layers);
         return true;
       case automaton::EntityKind::kTriangle:
-        *hi = sub.tris_up_to_layer(it->second);
+        *hi = sub.tris_up_to_layer(layers);
         return true;
       default:
         return false;  // 3-D runs are outside the 2-D runner's scope
@@ -278,10 +281,10 @@ class SpmdHooks : public ExecHooks {
   const Decomposition& d_;
   runtime::Rank& rank_;
   runtime::Exchanger exchanger_;
-  std::map<const lang::Stmt*, std::vector<const placement::SyncPoint*>>
-      syncs_before_;
+  // By Stmt::id.
+  std::vector<std::vector<const placement::SyncPoint*>> syncs_before_;
   std::vector<const placement::SyncPoint*> syncs_at_exit_;
-  std::map<const lang::Stmt*, int> layers_;
+  const std::vector<int>& layers_;  // by Stmt::id, see domain_layers_by_stmt
   RankSanitizer* sanitizer_ = nullptr;
   CheckpointStore* ckpt_ = nullptr;
   long long sync_ordinal_ = 0;
@@ -351,9 +354,9 @@ class SpmdHooks : public ExecHooks {
                               : runtime::Exchanger::Combine::kAdd);
     });
     for (const placement::SyncPoint* sp : group) {
-      if (sanitizer_) sanitizer_->on_exchange(sp->var, frame);
-      if (checkpoint)
-        contribute_checkpoint(ordinal, sp->var, frame.vars[sp->var]);
+      const Binding& b = frame.vars[sp->var];
+      if (sanitizer_) sanitizer_->on_exchange(model_.sub().symbol(sp->var), b);
+      if (checkpoint) contribute_checkpoint(ordinal, sp->var, b);
     }
   }
 
@@ -582,6 +585,7 @@ RunResult run_spmd_sanitized(runtime::World& world, const ProgramModel& model,
   // sanitizer.
   std::unique_ptr<CoherenceModel> coherence;
   if (report) coherence = std::make_unique<CoherenceModel>(model);
+  const std::vector<int> layers = domain_layers_by_stmt(model, placement);
 
   auto rank_fn = [&](runtime::Rank& rank) {
     Frame frame;
@@ -589,9 +593,9 @@ RunResult run_spmd_sanitized(runtime::World& world, const ProgramModel& model,
 
     std::unique_ptr<RankSanitizer> sanitizer;
     if (report)
-      sanitizer =
-          std::make_unique<RankSanitizer>(*coherence, placement, d, rank.id());
-    SpmdHooks hooks(model, placement, d, rank, sanitizer.get(), ckpt);
+      sanitizer = std::make_unique<RankSanitizer>(
+          *coherence, layers, model.sub().symbols.size(), d, rank.id());
+    SpmdHooks hooks(model, placement, layers, d, rank, sanitizer.get(), ckpt);
     DiagnosticEngine diags;
     bool ok = execute(model.sub(), frame, diags, {}, &hooks);
 

@@ -1,5 +1,7 @@
 #include "lang/ast.hpp"
 
+#include <unordered_map>
+
 namespace meshpar::lang {
 
 bool is_comparison(BinOp op) {
@@ -42,6 +44,7 @@ ExprPtr Expr::clone() const {
   e->int_val = int_val;
   e->real_val = real_val;
   e->name = name;
+  e->sym = sym;
   e->bin = bin;
   e->un = un;
   e->args.reserve(args.size());
@@ -116,6 +119,7 @@ StmtPtr Stmt::clone() const {
   if (lhs) s->lhs = lhs->clone();
   if (rhs) s->rhs = rhs->clone();
   s->do_var = do_var;
+  s->do_sym = do_sym;
   if (do_lo) s->do_lo = do_lo->clone();
   if (do_hi) s->do_hi = do_hi->clone();
   if (do_step) s->do_step = do_step->clone();
@@ -205,6 +209,12 @@ bool Subroutine::is_param(std::string_view var) const {
   return false;
 }
 
+int Subroutine::symbol(std::string_view var) const {
+  for (std::size_t i = 0; i < symbols.size(); ++i)
+    if (symbols[i] == var) return static_cast<int>(i);
+  return -1;
+}
+
 const Subroutine* Program::find(std::string_view name) const {
   for (const auto& s : subs)
     if (s.name == name) return &s;
@@ -212,15 +222,52 @@ const Subroutine* Program::find(std::string_view name) const {
 }
 
 namespace {
-void number_rec(std::vector<StmtPtr>& body, std::vector<Stmt*>& out) {
-  for (auto& s : body) {
-    s->id = static_cast<int>(out.size());
-    out.push_back(s.get());
-    number_rec(s->body, out);
-    number_rec(s->then_body, out);
-    number_rec(s->else_body, out);
+/// Numbers statements in pre-order and interns every variable name.
+class Resolver {
+ public:
+  explicit Resolver(Subroutine& sub) : sub_(sub) {
+    sub_.symbols.clear();
+    for (const auto& p : sub_.params) intern(p);
+    for (const auto& d : sub_.decls) intern(d.name);
   }
-}
+
+  void number(std::vector<StmtPtr>& body, std::vector<Stmt*>& out) {
+    for (auto& s : body) {
+      s->id = static_cast<int>(out.size());
+      out.push_back(s.get());
+      resolve(s->lhs.get());
+      resolve(s->rhs.get());
+      if (s->kind == StmtKind::kDo) s->do_sym = intern(s->do_var);
+      resolve(s->do_lo.get());
+      resolve(s->do_hi.get());
+      resolve(s->do_step.get());
+      resolve(s->cond.get());
+      for (auto& a : s->call_args) resolve(a.get());
+      number(s->body, out);
+      number(s->then_body, out);
+      number(s->else_body, out);
+    }
+  }
+
+ private:
+  Subroutine& sub_;
+  std::unordered_map<std::string, int> index_;
+
+  int intern(const std::string& name) {
+    auto [it, fresh] =
+        index_.emplace(name, static_cast<int>(sub_.symbols.size()));
+    if (fresh) sub_.symbols.push_back(name);
+    return it->second;
+  }
+
+  void resolve(Expr* e) {
+    if (!e) return;
+    if (e->kind == ExprKind::kVarRef || e->kind == ExprKind::kArrayRef)
+      e->sym = intern(e->name);
+    for (auto& a : e->args) resolve(a.get());
+  }
+};
+
 void collect_rec(const std::vector<StmtPtr>& body,
                  std::vector<const Stmt*>& out) {
   for (const auto& s : body) {
@@ -234,7 +281,7 @@ void collect_rec(const std::vector<StmtPtr>& body,
 
 std::vector<Stmt*> number_statements(Subroutine& sub) {
   std::vector<Stmt*> out;
-  number_rec(sub.body, out);
+  Resolver(sub).number(sub.body, out);
   return out;
 }
 

@@ -54,6 +54,9 @@ struct Expr {
   long long int_val = 0;    // kIntLit
   double real_val = 0.0;    // kRealLit
   std::string name;         // kVarRef / kArrayRef (always lower-case)
+  /// kVarRef / kArrayRef: index of `name` in Subroutine::symbols, set by
+  /// number_statements(); -1 until then.
+  int sym = -1;
   BinOp bin = BinOp::kAdd;  // kBinary
   UnOp un = UnOp::kNeg;     // kUnary
   std::vector<ExprPtr> args;  // indices (kArrayRef) or operands (kUnary/kBinary)
@@ -100,6 +103,7 @@ struct Stmt {
 
   // kDo
   std::string do_var;
+  int do_sym = -1;  // do_var's index in Subroutine::symbols (see Expr::sym)
   ExprPtr do_lo, do_hi, do_step;  // do_step may be null (defaults to 1)
   std::vector<StmtPtr> body;
 
@@ -149,9 +153,17 @@ struct Subroutine {
   std::vector<std::string> params;  // lower-case, in order
   std::vector<VarDecl> decls;
   std::vector<StmtPtr> body;
+  /// Every variable name of the subroutine, once: params, then decls, then
+  /// the remaining names in order of first mention (statement pre-order).
+  /// Filled by number_statements(); Expr::sym and Stmt::do_sym index it,
+  /// so per-variable state can live in vectors instead of name-keyed maps.
+  std::vector<std::string> symbols;
 
   [[nodiscard]] const VarDecl* find_decl(std::string_view var) const;
   [[nodiscard]] bool is_param(std::string_view var) const;
+  /// Index of `var` in `symbols`, or -1 (linear: keep it off per-element
+  /// paths).
+  [[nodiscard]] int symbol(std::string_view var) const;
 };
 
 struct Program {
@@ -164,9 +176,10 @@ struct Program {
 // Tree utilities
 // ---------------------------------------------------------------------------
 
-/// Assigns pre-order ids to every statement and returns the statements in
-/// that order. The returned pointers stay valid while the subroutine is
-/// alive and un-mutated.
+/// Assigns pre-order ids to every statement, resolves every variable name
+/// (fills Subroutine::symbols, Expr::sym and Stmt::do_sym) and returns the
+/// statements in pre-order. The returned pointers, ids and symbol indices
+/// stay valid while the subroutine is alive and un-mutated.
 std::vector<Stmt*> number_statements(Subroutine& sub);
 std::vector<const Stmt*> collect_statements(const Subroutine& sub);
 
