@@ -201,7 +201,6 @@ int cmd_batch(Context& ctx) {
   const service::LevelStats d_compile = delta(after.compile, before.compile);
   const service::LevelStats d_place =
       delta(after.placements, before.placements);
-  const long long d_uncacheable = after.uncacheable - before.uncacheable;
 
   std::size_t ok = 0;
   std::size_t failed = 0;
@@ -238,7 +237,7 @@ int cmd_batch(Context& ctx) {
     cache_level_json(out, "placements", d_place);
     out << ",";
     cache_level_json(out, "results", d_results);
-    out << ",\"uncacheable\":" << d_uncacheable << "}}\n";
+    out << "}}\n";
     return exit_code;
   }
 

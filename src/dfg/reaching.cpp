@@ -1,7 +1,7 @@
 #include "dfg/reaching.hpp"
 
 #include <algorithm>
-#include <set>
+#include <iterator>
 
 namespace meshpar::dfg {
 
@@ -21,8 +21,7 @@ bool merge_into(std::vector<int>& dst, const std::vector<int>& src) {
 }  // namespace
 
 ReachingDefs ReachingDefs::solve(const lang::Subroutine& sub, const Cfg& cfg,
-                                 const std::vector<StmtDefUse>& defuse,
-                                 bool acyclic) {
+                                 const std::vector<StmtDefUse>& defuse) {
   ReachingDefs rd;
   rd.cfg_ = &cfg;
   rd.def_at_stmt_.assign(cfg.statements().size(), -1);
@@ -58,11 +57,6 @@ ReachingDefs ReachingDefs::solve(const lang::Subroutine& sub, const Cfg& cfg,
     entry_gen.push_back(static_cast<int>(i));
   out[kEntry] = entry_gen;
 
-  // Precompute back edges for the acyclic variant.
-  std::set<std::pair<NodeId, NodeId>> back;
-  if (acyclic)
-    for (const auto& be : cfg.back_edges()) back.insert({be.tail, be.header});
-
   auto transfer = [&](NodeId node, const std::vector<int>& in_set) {
     const lang::Stmt* s = cfg.stmt(node);
     if (!s) return in_set;
@@ -85,10 +79,7 @@ ReachingDefs ReachingDefs::solve(const lang::Subroutine& sub, const Cfg& cfg,
     changed = false;
     for (NodeId node = 0; node < n; ++node) {
       std::vector<int> in_set;
-      for (NodeId p : cfg.preds(node)) {
-        if (acyclic && back.count({p, node})) continue;
-        merge_into(in_set, out[p]);
-      }
+      for (NodeId p : cfg.preds(node)) merge_into(in_set, out[p]);
       if (node == kEntry) in_set = {};  // entry has no preds
       if (in_set != rd.in_[node]) {
         rd.in_[node] = in_set;

@@ -29,11 +29,8 @@ struct Definition {
 
 class ReachingDefs {
  public:
-  /// `acyclic`: drop all back edges before solving — used to separate
-  /// loop-independent from loop-carried dependences.
   static ReachingDefs solve(const lang::Subroutine& sub, const Cfg& cfg,
-                            const std::vector<StmtDefUse>& defuse,
-                            bool acyclic = false);
+                            const std::vector<StmtDefUse>& defuse);
 
   [[nodiscard]] const std::vector<Definition>& definitions() const {
     return defs_;

@@ -29,10 +29,7 @@ namespace meshpar::interp {
 
 class CheckpointStore {
  public:
-  /// `interval` = coherence-sync epochs between checkpoints (a checkpoint
-  /// is taken at sync ordinals divisible by it); <= 0 disables the store.
-  CheckpointStore(int nranks, int interval)
-      : nranks_(nranks), interval_(interval) {}
+  explicit CheckpointStore(int nranks) : nranks_(nranks) {}
 
   enum class Mode { kRecord, kVerify };
   void set_mode(Mode mode);
@@ -41,7 +38,7 @@ class CheckpointStore {
   void set_trust_horizon(long long horizon);
 
   [[nodiscard]] bool wants(long long ordinal) const {
-    return interval_ > 0 && ordinal % interval_ == 0;
+    return ordinal % kInterval == 0;
   }
 
   /// One rank's owned slice of `var` at a sync boundary: (global entity
@@ -76,8 +73,11 @@ class CheckpointStore {
     double got;
   };
 
+  /// Coherence-sync epochs between checkpoints: a checkpoint is taken at
+  /// every sync ordinal divisible by it.
+  static constexpr int kInterval = 2;
+
   int nranks_;
-  int interval_;
   mutable std::mutex mu_;
   Mode mode_ = Mode::kRecord;
   long long horizon_ = -2;  // -2 = unlimited; -1 = trust nothing

@@ -59,8 +59,8 @@ RecoveryOutcome run_spmd_recovering(const ProgramModel& model,
                                     const mesh::Mesh2D& m,
                                     const MeshBinding& binding,
                                     const runtime::FaultPlan* plan,
-                                    const RecoveryOptions& opts) {
-  const int nranks = static_cast<int>(d.subs.size());
+                                    const runtime::RecoveryPolicy& policy) {
+  const int nranks = d.parts();
   RecoveryOutcome oc;
   oc.survivors = nranks;
 
@@ -68,10 +68,9 @@ RecoveryOutcome run_spmd_recovering(const ProgramModel& model,
   // checkpoint boundary recorded.
   runtime::WorldOptions wopts;
   wopts.faults = (plan && !plan->empty()) ? plan : nullptr;
-  wopts.recovery = &opts.policy;
-  wopts.hang_timeout_ms = opts.hang_timeout_ms;
+  wopts.recovery = &policy;
   runtime::World world(nranks, wopts);
-  CheckpointStore store(nranks, opts.policy.checkpoint_interval);
+  CheckpointStore store(nranks);
   StalenessReport stale;
   RunResult first = run_spmd_sanitized(world, model, placement, d, m,
                                        binding, &stale, &store);
@@ -84,6 +83,41 @@ RecoveryOutcome run_spmd_recovering(const ProgramModel& model,
     oc.result.stats = stats;
     return oc;
   }
+
+  // The heal attempt of the shrink and rollback paths: one re-execution on
+  // `rd` with the faults disarmed, its transport counters folded into
+  // `stats`. A divergence from `ckpt`'s trusted checkpoints (rollback only)
+  // is MP-R006; otherwise a clean completed run is trusted, and anything
+  // else keeps the re-run's own failure.
+  const auto rerun = [&](const overlap::Decomposition& rd,
+                         CheckpointStore* ckpt) {
+    runtime::WorldOptions ro;
+    ro.recovery = &policy;
+    runtime::World world2(rd.parts(), ro);
+    StalenessReport stale2;
+    RunResult second = run_spmd_sanitized(world2, model, placement, rd, m,
+                                          binding, &stale2, ckpt);
+    stats.replays += 1;
+    stats.retransmits += second.stats.retransmits;
+    stats.duplicates_suppressed += second.stats.duplicates_suppressed;
+    const std::vector<std::string> div =
+        ckpt ? ckpt->divergences() : std::vector<std::string>{};
+    if (!div.empty()) {
+      oc.code = "MP-R006";
+      oc.detail = div.front();
+    } else if (second.ok && stale2.clean()) {
+      oc.ok = true;
+    } else {
+      oc.code = second.failure  ? second.failure->code()
+                : !stale2.clean() ? stale2.findings.front().code
+                                  : "interp-error";
+      oc.detail = !second.error.empty() ? second.error
+                  : !stale2.clean()     ? stale2.findings.front().message
+                                        : "";
+    }
+    oc.result = std::move(second);
+    oc.result.stats = stats;
+  };
 
   // A killed rank never comes back: re-own its entities by re-partitioning
   // the mesh over the survivors and re-executing on the smaller world.
@@ -103,41 +137,17 @@ RecoveryOutcome run_spmd_recovering(const ProgramModel& model,
       oc.result.stats = stats;
       return oc;
     }
-    const overlap::Decomposition d2 =
-        placement::decomposition_for(model, m, survivors);
-    runtime::WorldOptions w2o;
-    w2o.recovery = &opts.policy;
-    w2o.hang_timeout_ms = opts.hang_timeout_ms;
-    runtime::World world2(survivors, w2o);
-    StalenessReport stale2;
-    RunResult second =
-        run_spmd_sanitized(world2, model, placement, d2, m, binding, &stale2);
     oc.survivors = survivors;
     stats.shrinks = 1;
-    stats.replays += 1;
-    stats.retransmits += second.stats.retransmits;
-    stats.duplicates_suppressed += second.stats.duplicates_suppressed;
-    if (second.ok && stale2.clean()) {
-      oc.ok = true;
-    } else {
-      oc.code = second.failure  ? second.failure->code()
-                : !stale2.clean() ? stale2.findings.front().code
-                                  : "interp-error";
-      oc.detail = !second.error.empty() ? second.error
-                  : !stale2.clean()     ? stale2.findings.front().message
-                                        : "";
-    }
-    oc.result = std::move(second);
-    oc.result.stats = stats;
+    rerun(placement::decomposition_for(model, m, survivors), nullptr);
     return oc;
   }
 
   // Unrecoverable transport under the kRaise policy: surface MP-R005.
   const bool unrecoverable =
       first.failure && first.failure->code() == "MP-R005";
-  if (unrecoverable &&
-      opts.policy.on_unrecoverable ==
-          runtime::RecoveryPolicy::OnUnrecoverable::kRaise) {
+  if (unrecoverable && policy.on_unrecoverable ==
+                           runtime::RecoveryPolicy::OnUnrecoverable::kRaise) {
     oc.code = "MP-R005";
     oc.detail = first.error;
     oc.result = std::move(first);
@@ -156,34 +166,9 @@ RecoveryOutcome run_spmd_recovering(const ProgramModel& model,
     trace::current()->instant(
         "recover/rollback", "recover",
         {{"horizon", horizon == LLONG_MAX ? -1LL : horizon}});
-  runtime::WorldOptions w2o;
-  w2o.recovery = &opts.policy;
-  w2o.hang_timeout_ms = opts.hang_timeout_ms;
-  runtime::World world2(nranks, w2o);
-  StalenessReport stale2;
-  RunResult second = run_spmd_sanitized(world2, model, placement, d, m,
-                                        binding, &stale2, &store);
   oc.healer = Healer::kRollback;
   stats.rollbacks = 1;
-  stats.replays += 1;
-  stats.retransmits += second.stats.retransmits;
-  stats.duplicates_suppressed += second.stats.duplicates_suppressed;
-  std::vector<std::string> div = store.divergences();
-  if (!div.empty()) {
-    oc.code = "MP-R006";
-    oc.detail = div.front();
-  } else if (second.ok && stale2.clean()) {
-    oc.ok = true;
-  } else {
-    oc.code = second.failure  ? second.failure->code()
-              : !stale2.clean() ? stale2.findings.front().code
-                                : "interp-error";
-    oc.detail = !second.error.empty() ? second.error
-                : !stale2.clean()     ? stale2.findings.front().message
-                                      : "";
-  }
-  oc.result = std::move(second);
-  oc.result.stats = stats;
+  rerun(d, &store);
   return oc;
 }
 

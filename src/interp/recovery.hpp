@@ -38,13 +38,6 @@ namespace meshpar::interp {
 enum class Healer { kNone, kTransport, kRollback, kShrink };
 [[nodiscard]] const char* to_string(Healer h);
 
-struct RecoveryOptions {
-  runtime::RecoveryPolicy policy;
-  /// Wall-clock watchdog per attempt (MP-R002); 0 = deterministic
-  /// deadlock detection only.
-  int hang_timeout_ms = 0;
-};
-
 struct RecoveryOutcome {
   /// The run completed and its results are trusted (checkpoint-validated
   /// for rollback replays).
@@ -62,7 +55,8 @@ struct RecoveryOutcome {
 };
 
 /// Runs `placement` on `d` (one rank per sub-mesh) under `plan`, healing
-/// detected faults per `opts`. A null/empty plan degenerates to a plain
+/// detected faults per `policy`. Hangs are caught by the deterministic
+/// deadlock detector alone. A null/empty plan degenerates to a plain
 /// checkpointed run.
 RecoveryOutcome run_spmd_recovering(const placement::ProgramModel& model,
                                     const placement::Placement& placement,
@@ -70,6 +64,6 @@ RecoveryOutcome run_spmd_recovering(const placement::ProgramModel& model,
                                     const mesh::Mesh2D& m,
                                     const MeshBinding& binding,
                                     const runtime::FaultPlan* plan,
-                                    const RecoveryOptions& opts);
+                                    const runtime::RecoveryPolicy& policy);
 
 }  // namespace meshpar::interp

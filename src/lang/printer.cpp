@@ -102,7 +102,8 @@ class StmtPrinter {
     } else {
       os_ << "      ";
     }
-    for (int i = 0; i < depth * opts_.indent_width; ++i) os_ << ' ';
+    constexpr int kIndentWidth = 2;
+    for (int i = 0; i < depth * kIndentWidth; ++i) os_ << ' ';
   }
 
   void print_stmt(const Stmt& s, int depth) {

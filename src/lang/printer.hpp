@@ -12,7 +12,6 @@
 namespace meshpar::lang {
 
 struct PrintOptions {
-  int indent_width = 2;
   /// Called before each statement; returned lines are emitted as comment
   /// lines ("C$..." style, caller provides the full text) right above it.
   std::function<std::vector<std::string>(const Stmt&)> pre_comments;

@@ -41,7 +41,7 @@ OptimizeReport optimize_placement(const ProgramModel& model,
   OptimizeReport rep;
   mesh::Mesh2D mesh;
   const overlap::Decomposition d =
-      placement::example_decomposition(model, &mesh, options.parts);
+      placement::example_decomposition(model, &mesh);
   rep.cost_raw = placement::simulate_cost(model, p, d);
   rep.optimized = p;
 
@@ -137,11 +137,11 @@ OptimizeReport optimize_placement(const ProgramModel& model,
     trace::Span span("opt/dynamic-proof", "opt");
     rep.dynamic_ran = true;
     const interp::MeshBinding binding = interp::synthetic_binding(model, mesh);
-    runtime::World raw_world(options.parts);
+    runtime::World raw_world(d.parts());
     interp::StalenessReport raw_stale;
     const interp::RunResult raw = interp::run_spmd_sanitized(
         raw_world, model, p, d, mesh, binding, &raw_stale);
-    runtime::World opt_world(options.parts);
+    runtime::World opt_world(d.parts());
     interp::StalenessReport opt_stale;
     const interp::RunResult opt = interp::run_spmd_sanitized(
         opt_world, model, rep.optimized, d, mesh, binding, &opt_stale);

@@ -45,8 +45,6 @@ struct OptimizeOptions {
   /// Re-run both placements through the SPMD sanitizer and require
   /// bitwise-identical outputs (slower; skipped by --no-dynamic).
   bool dynamic_proof = true;
-  /// Ranks for the dynamic proof and the cost simulation's decomposition.
-  int parts = 3;
   analysis::LintOptions lint;
 };
 

@@ -80,10 +80,9 @@ overlap::Decomposition decomposition_for(const ProgramModel& model,
 }
 
 overlap::Decomposition example_decomposition(const ProgramModel& model,
-                                             mesh::Mesh2D* mesh_out,
-                                             int parts) {
+                                             mesh::Mesh2D* mesh_out) {
   mesh::Mesh2D m = mesh::rectangle(10, 10);
-  overlap::Decomposition d = decomposition_for(model, m, parts);
+  overlap::Decomposition d = decomposition_for(model, m, /*parts=*/3);
   if (mesh_out) *mesh_out = std::move(m);
   return d;
 }

@@ -57,10 +57,9 @@ struct CostReport {
 
 /// The canonical example decomposition every CLI cost surface uses — the
 /// same configuration `mptool verify --dynamic` runs against: a 10x10
-/// rectangle mesh through decomposition_for. `mesh_out` (optional)
-/// receives the generated mesh.
+/// rectangle mesh through decomposition_for into 3 parts. `mesh_out`
+/// (optional) receives the generated mesh.
 [[nodiscard]] overlap::Decomposition example_decomposition(
-    const ProgramModel& model, mesh::Mesh2D* mesh_out = nullptr,
-    int parts = 3);
+    const ProgramModel& model, mesh::Mesh2D* mesh_out = nullptr);
 
 }  // namespace meshpar::placement

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -21,7 +20,6 @@ const char* to_string(TruncationReason r) {
     case TruncationReason::kMaxSolutions: return "solution cap reached";
     case TruncationReason::kMaxAssignments:
       return "assignment budget exhausted";
-    case TruncationReason::kDeadline: return "wall-clock deadline exceeded";
   }
   return "?";
 }
@@ -234,10 +232,7 @@ std::vector<std::vector<int>> Engine::pruned_domains(
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-enum class StopCause { kNone, kSolutionCap, kBudget, kDeadline, kCancel,
-                       kSinkStop };
+enum class StopCause { kNone, kSolutionCap, kBudget, kCancel, kSinkStop };
 
 /// Immutable per-enumeration search context, shared by every searcher
 /// (the prefix enumerator and every subtree searcher).
@@ -254,7 +249,6 @@ struct Ctx {
   std::vector<std::vector<Edge>> edges;  // per occurrence
   const std::vector<std::vector<std::uint64_t>>* bits = nullptr;
   const std::vector<std::vector<std::uint64_t>>* rbits = nullptr;
-  Clock::time_point start{};
   /// Shared trial counter for the global assignment budget, drawn on by
   /// every searcher when max_assignments is set.
   std::atomic<long long>* budget_pool = nullptr;
@@ -293,9 +287,6 @@ class Searcher {
   /// the whole search (kNone to continue).
   template <typename OnLeaf>
   StopCause run(OnLeaf&& on_leaf) {
-    // Poll once up front so an already-expired deadline truncates before
-    // any work, whatever the depth range.
-    if (StopCause c = poll(); c != StopCause::kNone) return c;
     return dfs(base_, on_leaf);
   }
 
@@ -361,9 +352,9 @@ class Searcher {
   }
 
   StopCause pre_trial() {
-    // Deadline and cancellation are polled every 256 search *steps* —
-    // assignments plus backtracks — so long consistency-failure/backtrack
-    // runs cannot outrun the deadline unnoticed.
+    // Cancellation is polled every 256 search *steps* — assignments plus
+    // backtracks — so long consistency-failure/backtrack runs cannot
+    // outrun a cancel unnoticed.
     const long long steps = stats.assignments + stats.backtracks;
     if ((steps & 0xff) == 0)
       if (StopCause c = poll(); c != StopCause::kNone) return c;
@@ -402,12 +393,6 @@ class Searcher {
   StopCause poll() const {
     if (ctx_.cancel && ctx_.cancel->load(std::memory_order_relaxed))
       return StopCause::kCancel;
-    const long long dl = ctx_.opt->deadline_ms;
-    if (dl != 0) {
-      if (dl < 0) return StopCause::kDeadline;
-      if (Clock::now() - ctx_.start >= std::chrono::milliseconds(dl))
-        return StopCause::kDeadline;
-    }
     return StopCause::kNone;
   }
 
@@ -437,10 +422,6 @@ void apply_cause(EngineStats& st, StopCause c) {
     case StopCause::kBudget:
       st.truncated = true;
       st.reason = TruncationReason::kMaxAssignments;
-      break;
-    case StopCause::kDeadline:
-      st.truncated = true;
-      st.reason = TruncationReason::kDeadline;
       break;
     case StopCause::kNone:
     case StopCause::kCancel:
@@ -495,7 +476,6 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
   }
   ctx.bits = &legal_bits_;
   ctx.rbits = &legal_rbits_;
-  ctx.start = Clock::now();
 
   std::vector<int> state(n, -1);
   std::vector<std::uint64_t> live(n, 0);
@@ -560,7 +540,7 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
                                  {"assignments", prefix.stats.assignments},
                                  {"backtracks", prefix.stats.backtracks}});
     if (pc != StopCause::kNone) {
-      // Budget/deadline died during root enumeration; nothing was searched
+      // The budget died during root enumeration; nothing was searched
       // below the prefix levels yet.
       apply_cause(st, pc);
       hooks.plan(0);
@@ -653,8 +633,7 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
   } else {
     for (std::size_t i = 0; i < subtrees.size(); ++i) {
       run_subtree(i);
-      if (results[i].cause == StopCause::kBudget ||
-          results[i].cause == StopCause::kDeadline)
+      if (results[i].cause == StopCause::kBudget)
         break;  // remaining subtrees stay unsearched, like the plain DFS
       if (cap) {
         std::size_t total = 0;
@@ -666,13 +645,11 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
 
   // Deterministic merge of statistics in subtree (= canonical) order.
   bool any_budget = false;
-  bool any_deadline = false;
   for (const SubResult& r : results) {
     st.assignments += r.stats.assignments;
     st.backtracks += r.stats.backtracks;
     st.dominance_pruned += r.stats.dominance_pruned;
     any_budget |= r.cause == StopCause::kBudget;
-    any_deadline |= r.cause == StopCause::kDeadline;
   }
   std::size_t total = 0;
   for (const SubResult& r : results) {
@@ -687,8 +664,6 @@ void Engine::search_core(const EngineOptions& options, EngineStats& st,
     apply_cause(st, StopCause::kSolutionCap);
   else if (any_budget)
     apply_cause(st, StopCause::kBudget);
-  else if (any_deadline)
-    apply_cause(st, StopCause::kDeadline);
 }
 
 std::vector<Assignment> Engine::enumerate(const EngineOptions& options,

@@ -65,10 +65,6 @@ struct EngineOptions {
   /// Pathological programs degrade to a truncated-with-reason result
   /// instead of searching unbounded.
   long long max_assignments = 0;
-  /// Wall-clock deadline in milliseconds (0 = none; negative = already
-  /// expired, useful for tests). Polled every few hundred search steps,
-  /// where both assignments and backtracks count as steps.
-  long long deadline_ms = 0;
   /// Worker threads for the enumeration (1 = sequential, <= 0 = all
   /// hardware threads). Any value yields the same solution list in the
   /// same order; untruncated runs also report identical statistics.
@@ -76,8 +72,7 @@ struct EngineOptions {
 };
 
 /// Why enumeration stopped before exhausting the search space.
-enum class TruncationReason { kNone, kMaxSolutions, kMaxAssignments,
-                              kDeadline };
+enum class TruncationReason { kNone, kMaxSolutions, kMaxAssignments };
 [[nodiscard]] const char* to_string(TruncationReason r);
 
 struct EngineStats {
@@ -138,8 +133,8 @@ class Engine {
   using SinkDone =
       std::function<void(std::size_t subtree, std::unique_ptr<SubtreeSink>)>;
 
-  /// Bounded-memory streaming enumeration: exhaustive modulo budget and
-  /// deadline (options.max_solutions is NOT a search cap here — bounding
+  /// Bounded-memory streaming enumeration: exhaustive modulo the budget
+  /// (options.max_solutions is NOT a search cap here — bounding
   /// retention is the consumer's job). The subtree decomposition is a pure
   /// function of the pruned domains, never of `jobs`, so the sequence of
   /// (subtree, solution) events each consumer observes — and therefore any
@@ -150,8 +145,8 @@ class Engine {
                         const SinkDone& done) const;
 
   /// The per-occurrence state domains after arc-consistency pruning.
-  /// An empty domain pinpoints why a program cannot be mapped; used by the
-  /// tool's diagnostics. When `over_constrained` is non-null it is set to
+  /// An empty domain pinpoints why a program cannot be mapped; the engine
+  /// tests inspect it. When `over_constrained` is non-null it is set to
   /// true iff some domain emptied (no mapping exists).
   [[nodiscard]] std::vector<std::vector<int>> pruned_domains(
       bool* over_constrained = nullptr) const;

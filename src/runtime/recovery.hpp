@@ -31,9 +31,6 @@ struct RecoveryPolicy {
   /// First backoff sleep in microseconds; doubles per retry (capped at
   /// 64x). Purely a pacing knob — healing decisions never depend on it.
   int backoff_base_us = 20;
-  /// Coherence-sync epochs between interpreter checkpoints (see
-  /// interp/checkpoint.hpp); the runtime itself ignores this field.
-  int checkpoint_interval = 2;
   /// Per-edge retransmit log depth (the sequence window). 0 disables
   /// retransmission entirely: every loss becomes MP-R005.
   int retain_window = 64;

@@ -65,24 +65,6 @@ std::shared_ptr<const PlacementSet> Service::placements(
     const placement::ToolOptions& options, bool* compile_hit_out,
     bool* placements_hit_out) {
   auto compiled = compile(source, spec, compile_hit_out);
-  auto enumerate = [&]() -> std::shared_ptr<PlacementSet> {
-    auto ps = std::make_shared<PlacementSet>();
-    ps->compiled = compiled;
-    if (compiled->ok()) {
-      placement::EnumerationResult e = placement::enumerate_placements(
-          *compiled->model, *compiled->fg, options);
-      ps->placements = std::move(e.placements);
-      ps->stats = e.stats;
-    }
-    return ps;
-  };
-  if (options.engine.deadline_ms != 0) {
-    // A wall-clock deadline makes the result irreproducible; never cache
-    // it, never serve it from the cache.
-    uncacheable_.fetch_add(1, std::memory_order_relaxed);
-    if (placements_hit_out) *placements_hit_out = false;
-    return enumerate();
-  }
   const std::string key =
       digest({content_key(source, spec), options_key(options)});
   bool hit = false;
@@ -91,7 +73,14 @@ std::shared_ptr<const PlacementSet> Service::placements(
       [&]() -> std::shared_ptr<const PlacementSet> {
         trace::Span span("service/enumerate", "service");
         span.arg("key", short_key(key));
-        auto ps = enumerate();
+        auto ps = std::make_shared<PlacementSet>();
+        ps->compiled = compiled;
+        if (compiled->ok()) {
+          placement::EnumerationResult e = placement::enumerate_placements(
+              *compiled->model, *compiled->fg, options);
+          ps->placements = std::move(e.placements);
+          ps->stats = e.stats;
+        }
         span.arg("placements", ps->placements.size());
         return ps;
       },
@@ -105,7 +94,6 @@ CacheStats Service::stats() const {
   CacheStats s;
   s.compile = compile_.stats();
   s.placements = placements_.stats();
-  s.uncacheable = uncacheable_.load(std::memory_order_relaxed);
   return s;
 }
 

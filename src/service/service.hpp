@@ -23,8 +23,7 @@
 // engine's determinism contract makes the output independent of it — i.e.
 // unless the run can truncate (an assignment budget, or a plain-enumeration
 // solution cap, where the "states tried" statistic depends on scheduling).
-// A wall-clock deadline makes the result irreproducible, so such requests
-// bypass the cache entirely and are counted as `uncacheable`.
+// Every search bound is deterministic, so every request is cacheable.
 //
 // Every cache miss that computes emits a trace span ("service/compile",
 // "service/enumerate") and every reuse an instant ("service/hit" with the
@@ -32,7 +31,6 @@
 // behavior run by run.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -54,7 +52,6 @@ struct PlacementSet {
 struct CacheStats {
   LevelStats compile;
   LevelStats placements;
-  long long uncacheable = 0;  // deadline-carrying requests, never cached
 
   [[nodiscard]] long long hits() const {
     return compile.hits + placements.hits;
@@ -72,8 +69,8 @@ class Service {
                                                      std::string_view spec,
                                                      bool* hit_out = nullptr);
 
-  /// Compile + enumerate (both cached; a deadline-carrying request bypasses
-  /// the placement cache and is counted as uncacheable).
+  /// Compile + enumerate, both levels cached and coalesced. The hit
+  /// out-params (optional) report reuse per level.
   std::shared_ptr<const PlacementSet> placements(
       std::string_view source, std::string_view spec,
       const placement::ToolOptions& options, bool* compile_hit_out = nullptr,
@@ -93,7 +90,6 @@ class Service {
  private:
   MemoCache<placement::Compiled> compile_;
   MemoCache<PlacementSet> placements_;
-  std::atomic<long long> uncacheable_{0};
 };
 
 }  // namespace meshpar::service

@@ -15,14 +15,14 @@ struct Built {
   ReachingDefs rd;
 };
 
-Built build(std::string_view src, bool acyclic = false) {
+Built build(std::string_view src) {
   DiagnosticEngine diags;
   lang::Subroutine sub = lang::parse_subroutine(src, diags);
   EXPECT_FALSE(diags.has_errors()) << diags.str();
   Cfg cfg = Cfg::build(sub, diags);
   EXPECT_FALSE(diags.has_errors()) << diags.str();
   auto du = analyze_defuse(sub, cfg);
-  auto rd = ReachingDefs::solve(sub, cfg, du, acyclic);
+  auto rd = ReachingDefs::solve(sub, cfg, du);
   return {std::move(sub), std::move(cfg), std::move(du), std::move(rd)};
 }
 
@@ -102,24 +102,6 @@ TEST(Reaching, LoopCarriedScalarReachesSelf) {
   auto ids = b.rd.reaching(*red, "s");
   // Both the initialization and the accumulation itself reach the use.
   EXPECT_EQ(ids.size(), 2u);
-}
-
-TEST(Reaching, AcyclicDropsBackEdgeFlow) {
-  auto b = build(
-      "      subroutine foo(n,a)\n"
-      "      integer n,i\n"
-      "      real a,s\n"
-      "      s = 0.0\n"
-      "      do i = 1,n\n"
-      "        s = s + a\n"
-      "      end do\n"
-      "      end\n",
-      /*acyclic=*/true);
-  const auto& s = b.cfg.statements();
-  auto ids = b.rd.reaching(*s[2], "s");
-  // Without the back edge only the initialization reaches.
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(b.rd.definitions()[ids[0]].stmt, s[0]);
 }
 
 TEST(Reaching, ReachingExit) {

@@ -51,10 +51,10 @@ struct Fixture {
   }
 
   RecoveryOutcome recover(const runtime::FaultPlan* plan,
-                          const RecoveryOptions& opts = {}) const {
+                          const runtime::RecoveryPolicy& policy = {}) const {
     return run_spmd_recovering(*compiled.model,
                                enumerated.placements.front(), d, m, binding,
-                               plan, opts);
+                               plan, policy);
   }
 
   /// First campaign fault of `kind` for this fixture's baseline trace.
@@ -126,11 +126,11 @@ TEST(Recovery, KilledRankHealsByShrinkingToSurvivors) {
 TEST(Recovery, UnrecoverableLossRaisesUnderRaisePolicy) {
   Fixture fx;
   runtime::FaultPlan plan(fx.campaign_fault(runtime::FaultKind::kDrop));
-  RecoveryOptions opts;
-  opts.policy.retain_window = 0;  // no retransmit log: the loss is final
-  opts.policy.max_retries = 1;
-  opts.policy.backoff_base_us = 1;
-  RecoveryOutcome oc = fx.recover(&plan, opts);
+  runtime::RecoveryPolicy policy;
+  policy.retain_window = 0;  // no retransmit log: the loss is final
+  policy.max_retries = 1;
+  policy.backoff_base_us = 1;
+  RecoveryOutcome oc = fx.recover(&plan, policy);
   EXPECT_FALSE(oc.ok);
   EXPECT_EQ(oc.code, "MP-R005");
 }
@@ -138,13 +138,13 @@ TEST(Recovery, UnrecoverableLossRaisesUnderRaisePolicy) {
 TEST(Recovery, UnrecoverableLossHealsUnderRollbackPolicy) {
   Fixture fx;
   runtime::FaultPlan plan(fx.campaign_fault(runtime::FaultKind::kDrop));
-  RecoveryOptions opts;
-  opts.policy.retain_window = 0;
-  opts.policy.max_retries = 1;
-  opts.policy.backoff_base_us = 1;
-  opts.policy.on_unrecoverable =
+  runtime::RecoveryPolicy policy;
+  policy.retain_window = 0;
+  policy.max_retries = 1;
+  policy.backoff_base_us = 1;
+  policy.on_unrecoverable =
       runtime::RecoveryPolicy::OnUnrecoverable::kRollback;
-  RecoveryOutcome oc = fx.recover(&plan, opts);
+  RecoveryOutcome oc = fx.recover(&plan, policy);
   ASSERT_TRUE(oc.ok) << oc.code << ": " << oc.detail;
   EXPECT_EQ(oc.healer, Healer::kRollback);
   EXPECT_EQ(oc.result.stats.rollbacks, 1);
@@ -155,7 +155,7 @@ TEST(Recovery, PoisonedCheckpointIsReplayDivergence) {
   // must catch the mismatch — this is what makes a "successful" rollback
   // trustworthy.
   Fixture fx;
-  CheckpointStore store(3, /*interval=*/2);
+  CheckpointStore store(3);
   runtime::World w1(3);
   StalenessReport rep1;
   RunResult record = run_spmd_sanitized(w1, *fx.compiled.model,
@@ -181,7 +181,7 @@ TEST(Recovery, PoisonedCheckpointIsReplayDivergence) {
 
 TEST(Recovery, CleanReplayReportsNoDivergence) {
   Fixture fx;
-  CheckpointStore store(3, /*interval=*/2);
+  CheckpointStore store(3);
   runtime::World w1(3);
   StalenessReport rep1;
   RunResult record = run_spmd_sanitized(w1, *fx.compiled.model,

@@ -339,46 +339,5 @@ TEST(PrunedDomains, SatisfiableProgramIsNotOverConstrained) {
   for (const auto& d : dom) EXPECT_FALSE(d.empty());
 }
 
-// ---------------------------------------------------------------------------
-// Deadline polling counts backtracks as steps.
-// ---------------------------------------------------------------------------
-
-TEST(Deadline, ExpiredDeadlineStopsBeforeAnyWork) {
-  Built b = build(lang::testt_source(), lang::testt_spec());
-  ASSERT_NE(b.model, nullptr) << b.diags.str();
-  Engine engine(*b.model, *b.fg);
-  EngineOptions opt;
-  opt.max_solutions = 0;
-  opt.prune_domains = false;  // maximize the search the deadline must stop
-  opt.deadline_ms = -1;
-  EngineStats stats;
-  auto sols = engine.enumerate(opt, &stats);
-  EXPECT_TRUE(sols.empty());
-  EXPECT_TRUE(stats.truncated);
-  EXPECT_EQ(stats.reason, TruncationReason::kDeadline);
-  // Deadlines are polled every 256 search steps, where a step is an
-  // assignment *or* a backtrack — a long dead-end/backtrack run cannot
-  // outrun the poll. An already-expired deadline stops within one window.
-  EXPECT_LE(stats.assignments + stats.backtracks, 256);
-}
-
-TEST(Deadline, MidSearchExpiryTruncatesBacktrackHeavySearch) {
-  // Without pruning, exhaustively enumerating the 12-stage synthetic
-  // program takes ~100 ms (≈1.6 M search steps, nearly half of them
-  // backtracks), dwarfing a 1 ms deadline; this run exercises the poll on
-  // the backtrack path.
-  Built b = build(lang::synthetic_source(12), lang::synthetic_spec(12));
-  ASSERT_NE(b.model, nullptr) << b.diags.str();
-  Engine engine(*b.model, *b.fg);
-  EngineOptions opt;
-  opt.max_solutions = 0;
-  opt.prune_domains = false;
-  opt.deadline_ms = 1;
-  EngineStats stats;
-  engine.enumerate(opt, &stats);
-  EXPECT_TRUE(stats.truncated);
-  EXPECT_EQ(stats.reason, TruncationReason::kDeadline);
-}
-
 }  // namespace
 }  // namespace meshpar::placement

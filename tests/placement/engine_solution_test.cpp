@@ -96,18 +96,6 @@ TEST(Engine, AssignmentBudgetTruncatesWithReason) {
   EXPECT_STREQ(to_string(r.stats.reason), "assignment budget exhausted");
 }
 
-TEST(Engine, ExpiredDeadlineTruncatesImmediately) {
-  ToolOptions opt;
-  opt.engine.max_solutions = 0;
-  opt.engine.deadline_ms = -1;  // already expired: deterministic truncation
-  const Compiled& c = testt();
-  ASSERT_TRUE(c.ok()) << c.diags.str();
-  EnumerationResult r = enumerate_placements(*c.model, *c.fg, opt);
-  EXPECT_TRUE(r.stats.truncated);
-  EXPECT_EQ(r.stats.reason, TruncationReason::kDeadline);
-  EXPECT_TRUE(r.placements.empty());
-}
-
 TEST(Engine, UntruncatedSearchReportsNoReason) {
   const Compiled& c = testt();
   ASSERT_TRUE(c.ok()) << c.diags.str();

@@ -190,28 +190,6 @@ TEST(Service, OptionsKeyNormalizesJobsForUntruncatableRuns) {
   EXPECT_NE(Service::options_key(c), Service::options_key(d));
 }
 
-TEST(Service, DeadlineRequestsBypassTheCache) {
-  Service svc;
-  placement::ToolOptions opt;
-  opt.engine.deadline_ms = 60000;  // far away: the run itself completes
-  bool phit = true;
-  auto a = svc.placements(lang::testt_source(), lang::testt_spec(), opt,
-                          nullptr, &phit);
-  ASSERT_TRUE(a);
-  EXPECT_FALSE(phit);
-  auto b = svc.placements(lang::testt_source(), lang::testt_spec(), opt,
-                          nullptr, &phit);
-  EXPECT_FALSE(phit);
-  EXPECT_NE(a.get(), b.get());  // computed twice, never cached
-  CacheStats s = svc.stats();
-  EXPECT_EQ(s.uncacheable, 2);
-  EXPECT_EQ(s.placements.hits, 0);
-  EXPECT_EQ(s.placements.misses, 0);
-  // The compile level still caches.
-  EXPECT_EQ(s.compile.misses, 1);
-  EXPECT_EQ(s.compile.hits, 1);
-}
-
 TEST(Service, RunReportsPerRequestDelta) {
   // Each call reports its own cache activity through the hit out-params,
   // and the service-wide counters move by exactly that much.
