@@ -14,6 +14,12 @@ touching the baseline. An empty baseline (``[]`` or no ``benchmarks`` key)
 passes trivially — that is the bootstrap state before the first baseline
 is recorded.
 
+Both files' ``context.num_cpus`` and ``context.library_build_type`` are
+printed, with a non-fatal ``WARNING: context differs`` line when they
+differ: timings taken on another core count or against another build of
+the benchmark library compare poorly, but a mismatch alone does not fail
+the gate.
+
 Median selection: if the run used ``--benchmark_repetitions``, the
 ``*_median`` aggregate rows are used; otherwise the median over the plain
 iteration rows with the same name (usually exactly one) is taken.
@@ -29,10 +35,16 @@ import sys
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def load_medians(path: str) -> dict[str, float]:
-    """Return benchmark name -> median real time in nanoseconds."""
+_CONTEXT_KEYS = ("num_cpus", "library_build_type")
+
+
+def load_run(path: str) -> tuple[dict[str, float], dict[str, object]]:
+    """Return (benchmark name -> median real time in ns, context fields)."""
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
+    context = data.get("context", {}) if isinstance(data, dict) else {}
+    if not isinstance(context, dict):
+        context = {}
     rows = data.get("benchmarks", []) if isinstance(data, dict) else data
     medians: dict[str, float] = {}
     samples: dict[str, list[float]] = {}
@@ -52,7 +64,12 @@ def load_medians(path: str) -> dict[str, float]:
             samples.setdefault(name, []).append(time_ns)
     for name, values in samples.items():
         medians.setdefault(name, statistics.median(values))
-    return medians
+    return medians, {k: context.get(k) for k in _CONTEXT_KEYS}
+
+
+def fmt_context(context: dict[str, object]) -> str:
+    return " ".join(f"{k}={context[k] if context[k] is not None else '?'}"
+                    for k in _CONTEXT_KEYS)
 
 
 def fmt(ns: float) -> str:
@@ -71,15 +88,21 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        base = load_medians(args.baseline)
+        base, base_ctx = load_run(args.baseline)
     except (OSError, json.JSONDecodeError) as e:
         print(f"FAIL: cannot read baseline {args.baseline}: {e}")
         return 1
     try:
-        cur = load_medians(args.current)
+        cur, cur_ctx = load_run(args.current)
     except (OSError, json.JSONDecodeError) as e:
         print(f"FAIL: cannot read current results {args.current}: {e}")
         return 1
+
+    print(f"baseline context: {fmt_context(base_ctx)}")
+    print(f"current context:  {fmt_context(cur_ctx)}")
+    if base_ctx != cur_ctx:
+        print("WARNING: context differs from the baseline; the timings may "
+              "not be comparable")
 
     if not base:
         print(f"baseline {args.baseline} is empty; nothing to compare "
