@@ -39,13 +39,14 @@ int cmd_check(Context& ctx) {
 
 int cmd_deps(Context& ctx) {
   TextTable t({"kind", "variable", "from", "to", "carried by"});
-  for (const auto& d : ctx.compiled->model->deps().all()) {
+  const placement::ProgramModel& model = *ctx.compiled->model;
+  for (const auto& d : model.deps().all()) {
     std::string carried;
     for (const lang::Stmt* l : d.carried_by) {
       if (!carried.empty()) carried += ",";
       carried += "do@" + to_string(l->loc);
     }
-    t.add_row({to_string(d.kind), d.var,
+    t.add_row({to_string(d.kind), d.var < 0 ? "" : model.sub().symbols[d.var],
                d.src ? to_string(d.src->loc) : "<entry>",
                d.dst ? to_string(d.dst->loc) : "<exit>", carried});
   }

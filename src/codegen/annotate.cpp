@@ -29,7 +29,7 @@ std::string annotate(const ProgramModel& model, const Placement& placement) {
   }
   for (std::size_t i = 0; i < placement.syncs.size(); ++i) {
     const auto& s = placement.syncs[i];
-    const bool scalar = !model.spec().entity_of(s.var).has_value();
+    const bool scalar = !model.entity_of(model.sub().symbol(s.var));
     std::string vars = s.var;
     if (s.fuse_group >= 0) {
       // Members of a fuse group ride one aggregated message; annotate them

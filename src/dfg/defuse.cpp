@@ -17,7 +17,7 @@ const Stmt* elementwise_loop(const Expr& e,
                              const std::vector<const Stmt*>& chain) {
   if (e.kind != ExprKind::kVarRef) return nullptr;
   for (const Stmt* l : chain)
-    if (l->do_var == e.name) return l;
+    if (l->do_sym == e.sym) return l;
   return nullptr;
 }
 
@@ -27,7 +27,7 @@ class Extractor {
 
   VarAccess classify(const Expr& ref, const Stmt& at) {
     VarAccess a;
-    a.var = ref.name;
+    a.var = ref.sym;
     a.loc = ref.loc;
     if (ref.kind == ExprKind::kVarRef) {
       a.shape = AccessShape::kScalar;
@@ -121,7 +121,7 @@ class Extractor {
       }
       case StmtKind::kDo: {
         VarAccess def;
-        def.var = s.do_var;
+        def.var = s.do_sym;
         def.shape = AccessShape::kScalar;
         def.loc = s.loc;
         du.def = def;
@@ -141,7 +141,7 @@ class Extractor {
           if (arg->kind == ExprKind::kVarRef ||
               arg->kind == ExprKind::kArrayRef) {
             VarAccess a;
-            a.var = arg->name;
+            a.var = arg->sym;
             a.shape = AccessShape::kWhole;
             a.loc = arg->loc;
             du.uses.push_back(a);

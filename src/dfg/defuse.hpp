@@ -6,7 +6,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "dfg/cfg.hpp"
@@ -22,7 +21,8 @@ enum class AccessShape {
 };
 
 struct VarAccess {
-  std::string var;
+  /// The accessed variable, as an index into Subroutine::symbols.
+  int var = -1;
   AccessShape shape = AccessShape::kScalar;
   /// For kElementwise: the DO statement whose variable indexes the access.
   const lang::Stmt* index_loop = nullptr;
@@ -31,8 +31,8 @@ struct VarAccess {
   /// what makes the paper's case d (acyclic carried true dependence)
   /// distinguishable from a recurrence.
   long long offset = 0;
-  /// Variables read inside the index expressions (the indirection scalars).
-  std::vector<std::string> index_reads;
+  /// Symbols read inside the index expressions (the indirection scalars).
+  std::vector<int> index_reads;
   SrcLoc loc;
 };
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <set>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "dfg/loopflow.hpp"
@@ -59,7 +57,7 @@ std::span<const Stmt* const> common_loops(const LoopChains& chains,
 std::vector<const Stmt*> carrying_loops(
     const Cfg& cfg, const std::vector<StmtDefUse>& defuse,
     std::span<const Stmt* const> loops, const Stmt* src, const Stmt* dst,
-    const std::string& var, const VarAccess* src_access,
+    int var, const VarAccess* src_access,
     const VarAccess* dst_access) {
   std::vector<const Stmt*> out;
   for (const Stmt* loop : loops) {
@@ -92,32 +90,22 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
   ReachingDefs rd = ReachingDefs::solve(sub, cfg, defuse);
   const std::vector<Stmt*>& stmts = cfg.statements();  // index = Stmt::id
 
-  // Variables interned to dense ids; id 0 is "", the control dependences'.
-  std::vector<std::string> names{""};
-  std::unordered_map<std::string, int> var_ids{{"", 0}};
-  auto intern = [&](const std::string& var) {
-    if (var_ids.try_emplace(var, static_cast<int>(names.size())).second)
-      names.push_back(var);
-  };
-  for (const StmtDefUse& du : defuse) {
-    if (du.def) intern(du.def->var);
-    for (const auto& use : du.uses) intern(use.var);
-  }
-
   LoopChains chains(stmts.size());
   for (const Stmt* s : stmts) chains[s->id] = cfg.do_chain(*s);
 
   // Deduplication key (kind, src, dst, var) packed into one integer, with
-  // statement id + 1 as the endpoint so that entry/exit (nullptr) is 0.
+  // statement id + 1 as the endpoint so that entry/exit (nullptr) is 0 and
+  // symbol + 1 as the variable so that control (-1) is 0.
   const std::uint64_t n_ends = stmts.size() + 1;
-  const std::uint64_t n_vars = names.size();
+  const std::size_t n_syms = sub.symbols.size();
+  const std::uint64_t n_vars = n_syms + 1;
   std::unordered_set<std::uint64_t> seen;
   auto add = [&](DepKind kind, const Stmt* src, const Stmt* dst, int var,
                  const VarAccess* sa, const VarAccess* da) {
     std::uint64_t key = static_cast<std::uint64_t>(kind);
     key = key * n_ends + (src ? src->id + 1 : 0);
     key = key * n_ends + (dst ? dst->id + 1 : 0);
-    key = key * n_vars + var;
+    key = key * n_vars + static_cast<std::uint64_t>(var + 1);
     if (seen.contains(key)) return;
     auto loops = common_loops(chains, src, dst);
     // Direction filter: a dependence between shifted elementwise accesses
@@ -135,10 +123,9 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
     d.kind = kind;
     d.src = src;
     d.dst = dst;
-    d.var = names[var];
+    d.var = var;
     if (kind != DepKind::kControl)
-      d.carried_by =
-          carrying_loops(cfg, defuse, loops, src, dst, d.var, sa, da);
+      d.carried_by = carrying_loops(cfg, defuse, loops, src, dst, var, sa, da);
     g.deps_.push_back(std::move(d));
   };
 
@@ -146,7 +133,6 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
   for (const Stmt* s : stmts) {
     const StmtDefUse& du = defuse[s->id];
     for (const auto& use : du.uses) {
-      const int var = var_ids.at(use.var);
       for (int def_id : rd.reaching(*s, use.var)) {
         const Definition& def = rd.definitions()[def_id];
         const VarAccess* sa = nullptr;
@@ -154,7 +140,7 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
           const StmtDefUse& sdu = defuse[def.stmt->id];
           sa = sdu.def ? &*sdu.def : nullptr;
         }
-        add(DepKind::kTrue, def.stmt, s, var, sa, &use);
+        add(DepKind::kTrue, def.stmt, s, use.var, sa, &use);
       }
     }
   }
@@ -163,8 +149,8 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
   for (const Stmt* s : stmts) {
     const StmtDefUse& du = defuse[s->id];
     if (!du.def) continue;
-    const int var = var_ids.at(du.def->var);
-    for (int def_id : rd.reaching(*s, du.def->var)) {
+    const int var = du.def->var;
+    for (int def_id : rd.reaching(*s, var)) {
       const Definition& def = rd.definitions()[def_id];
       if (def.stmt == s) continue;  // self via reflexivity is the true dep's job
       const VarAccess* sa = nullptr;
@@ -179,24 +165,29 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
   // ---- anti dependences (use -> later def) ----
   // Forward dataflow of exposed uses over bitsets: a use record (stmt,
   // var) flows until the variable is strongly redefined. Records are
-  // numbered in (stmt id, var name) order and every pass visits the nodes
-  // in order, reading the newest out-set of each predecessor. A defining
-  // node offers the records of its variable that reach it and that it has
-  // not offered before, in ascending record order. So each (use, def)
-  // pair reaches add() once, at the first visit it flows into the def,
-  // and the dependences come out in that order.
+  // numbered in (stmt id, var name) order, names ordered by name_rank, and
+  // every pass visits the nodes in order, reading the newest out-set of
+  // each predecessor. A defining node offers the records of its variable
+  // that reach it and that it has not offered before, in ascending record
+  // order. So each (use, def) pair reaches add() once, at the first visit
+  // it flows into the def, and the dependences come out in that order.
   {
     using Bits = std::vector<std::uint64_t>;
     std::vector<std::pair<const Stmt*, int>> recs;  // (use stmt, var)
     std::vector<std::size_t> first_rec(stmts.size() + 1, 0);
+    std::vector<int> vars;
     for (const Stmt* s : stmts) {
-      std::set<std::string> vars;
-      for (const auto& use : defuse[s->id].uses) vars.insert(use.var);
-      for (const std::string& v : vars) recs.emplace_back(s, var_ids.at(v));
+      vars.clear();
+      for (const auto& use : defuse[s->id].uses) vars.push_back(use.var);
+      std::sort(vars.begin(), vars.end(), [&](int a, int b) {
+        return sub.name_rank[a] < sub.name_rank[b];
+      });
+      vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+      for (int v : vars) recs.emplace_back(s, v);
       first_rec[s->id + 1] = recs.size();
     }
     const std::size_t words = (recs.size() + 63) / 64;
-    std::vector<Bits> var_mask(n_vars, Bits(words));
+    std::vector<Bits> var_mask(n_syms, Bits(words));
     for (std::size_t r = 0; r < recs.size(); ++r)
       var_mask[recs[r].second][r / 64] |= std::uint64_t{1} << (r % 64);
 
@@ -215,7 +206,7 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
           const StmtDefUse& du = defuse[s->id];
           if (du.def) {
             // Flowing uses of this variable are overwritten here: anti deps.
-            const int var = var_ids.at(du.def->var);
+            const int var = du.def->var;
             const Bits& mask = var_mask[var];
             Bits& done = reported[node];
             for (std::size_t w = 0; w < words; ++w) {
@@ -225,8 +216,7 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
                 const Stmt* use_stmt =
                     recs[w * 64 + std::countr_zero(fresh)].first;
                 add(DepKind::kAnti, use_stmt, s, var,
-                    find_access(defuse[use_stmt->id].uses, du.def->var),
-                    &*du.def);
+                    find_access(defuse[use_stmt->id].uses, var), &*du.def);
               }
             }
             if (du.kills())
@@ -254,7 +244,7 @@ DepGraph DepGraph::build(const lang::Subroutine& sub, const Cfg& cfg,
       for (NodeId x = b; x != stop && x != -1; x = cfg.ipdom()[x]) {
         const Stmt* dst = cfg.stmt(x);
         if (dst && dst != src)
-          add(DepKind::kControl, src, dst, 0, nullptr, nullptr);
+          add(DepKind::kControl, src, dst, -1, nullptr, nullptr);
         if (x == cfg.ipdom()[x]) break;  // safety against degenerate chains
       }
     }

@@ -9,7 +9,6 @@
 // incoming transitions of a statement to agree on its state.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "dfg/cfg.hpp"
@@ -28,8 +27,8 @@ struct Dependence {
   /// Destination statement. nullptr when the destination is the subroutine
   /// exit (a result flowing out).
   const lang::Stmt* dst = nullptr;
-  /// The variable carrying the dependence (empty for control).
-  std::string var;
+  /// The symbol of the variable carrying the dependence (-1 for control).
+  int var = -1;
   /// DO loops that carry this dependence across their iterations.
   std::vector<const lang::Stmt*> carried_by;
 

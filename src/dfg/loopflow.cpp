@@ -6,8 +6,7 @@
 namespace meshpar::dfg {
 
 bool path_inside_loop(const Cfg& cfg, const std::vector<StmtDefUse>& defuse,
-                      NodeId from, NodeId to, const lang::Stmt& loop,
-                      const std::string& var) {
+                      NodeId from, NodeId to, const lang::Stmt& loop, int var) {
   NodeId header = cfg.node_of(loop);
   auto allowed = [&](NodeId n) {
     if (n == header) return true;
@@ -39,8 +38,7 @@ bool path_inside_loop(const Cfg& cfg, const std::vector<StmtDefUse>& defuse,
   return false;
 }
 
-const VarAccess* find_access(const std::vector<VarAccess>& accesses,
-                             const std::string& var) {
+const VarAccess* find_access(const std::vector<VarAccess>& accesses, int var) {
   const VarAccess* found = nullptr;
   for (const auto& a : accesses) {
     if (a.var != var) continue;

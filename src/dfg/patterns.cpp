@@ -59,17 +59,18 @@ Patterns Patterns::detect(const lang::Subroutine& sub, const Cfg& cfg,
     return out;
   };
 
-  auto is_scalar_var = [&](const std::string& v) {
-    const lang::VarDecl* d = sub.find_decl(v);
-    if (d) return !d->is_array();
-    // Undeclared names: loop variables and implicit scalars.
-    return true;
-  };
+  // Symbols declared as arrays. Undeclared names (loop variables and
+  // implicit scalars) are scalars.
+  const std::size_t n_syms = sub.symbols.size();
+  std::vector<char> is_array(n_syms, 0);
+  for (const lang::VarDecl& d : sub.decls)
+    if (d.is_array())
+      is_array[static_cast<std::size_t>(sub.symbol(d.name))] = 1;
 
   auto loop_invariant = [&](const Expr& e, const Stmt& loop) {
-    std::vector<std::string> reads;
+    std::vector<int> reads;
     lang::collect_reads(e, reads);
-    for (const auto& v : reads) {
+    for (int v : reads) {
       for (int def_id : rd.defs_of(v)) {
         const Definition& d = rd.definitions()[def_id];
         // A definition inside the loop — including the loop's own DO header
@@ -85,12 +86,12 @@ Patterns Patterns::detect(const lang::Subroutine& sub, const Cfg& cfg,
   for (const Stmt* loop : loops) {
     auto inside = stmts_inside(*loop);
 
-    // Variables defined / used inside this loop.
-    std::set<std::string> defined, used;
+    // Variables defined / used inside this loop, by symbol.
+    std::vector<char> defined(n_syms, 0), used(n_syms, 0);
     for (const Stmt* s : inside) {
       const StmtDefUse& du = defuse[s->id];
-      if (du.def) defined.insert(du.def->var);
-      for (const auto& u : du.uses) used.insert(u.var);
+      if (du.def) defined[static_cast<std::size_t>(du.def->var)] = 1;
+      for (const auto& u : du.uses) used[static_cast<std::size_t>(u.var)] = 1;
     }
 
     // -- accumulations: inductions, reductions, assemblies --
@@ -98,9 +99,10 @@ Patterns Patterns::detect(const lang::Subroutine& sub, const Cfg& cfg,
       BinOp op;
       const Expr* rest = match_accumulation(*s, &op);
       if (!rest) continue;
-      const std::string& v = s->lhs->name;
+      const int v = s->lhs->sym;
 
-      if (s->lhs->kind == ExprKind::kVarRef && is_scalar_var(v)) {
+      if (s->lhs->kind == ExprKind::kVarRef &&
+          !is_array[static_cast<std::size_t>(v)]) {
         // Exactly one def of v inside the loop?
         int defs_in_loop = 0;
         for (const Stmt* t : inside) {
@@ -158,12 +160,18 @@ Patterns Patterns::detect(const lang::Subroutine& sub, const Cfg& cfg,
 
     // Validate assembly groups: every def of the array in the loop must be
     // an assembly with the same operator, and no other statement may read
-    // the array (partial sums must not be observed mid-assembly).
+    // the array (partial sums must not be observed mid-assembly). Groups
+    // are validated in variable-name order.
     {
-      std::set<std::string> assembled;
+      std::vector<int> assembled;
       for (const auto& a : p.assemblies_)
-        if (a.loop == loop) assembled.insert(a.var);
-      for (const auto& v : assembled) {
+        if (a.loop == loop) assembled.push_back(a.var);
+      std::sort(assembled.begin(), assembled.end(), [&](int a, int b) {
+        return sub.name_rank[a] < sub.name_rank[b];
+      });
+      assembled.erase(std::unique(assembled.begin(), assembled.end()),
+                      assembled.end());
+      for (int v : assembled) {
         bool ok = true;
         BinOp group_op = BinOp::kAdd;
         bool op_set = false;
@@ -207,11 +215,12 @@ Patterns Patterns::detect(const lang::Subroutine& sub, const Cfg& cfg,
 
     // -- localizable scalars --
     NodeId header = cfg.node_of(*loop);
-    for (const auto& v : used) {
-      if (!is_scalar_var(v)) continue;
-      if (sub.is_param(v)) continue;  // visible to the caller
-      if (v == loop->do_var) continue;
-      if (!defined.count(v)) continue;  // read-only: nothing to privatize
+    for (int v = 0; v < static_cast<int>(n_syms); ++v) {
+      const auto sv = static_cast<std::size_t>(v);
+      if (!used[sv] || is_array[sv]) continue;
+      if (rd.entry_def(v) >= 0) continue;  // a parameter: visible to the caller
+      if (v == loop->do_sym) continue;
+      if (!defined[sv]) continue;  // read-only: nothing to privatize
 
       bool ok = true;
       // (1) every use inside the loop sees only defs from inside the loop,
@@ -256,22 +265,15 @@ Patterns Patterns::detect(const lang::Subroutine& sub, const Cfg& cfg,
           if (!ok) break;
         }
       }
-      if (ok) p.localizable_[loop].insert(v);
+      if (ok) p.localizable_.emplace(loop, v);
     }
   }
 
   return p;
 }
 
-bool Patterns::is_localizable(const lang::Stmt& loop,
-                              const std::string& var) const {
-  auto it = localizable_.find(&loop);
-  return it != localizable_.end() && it->second.count(var) > 0;
-}
-
-std::set<std::string> Patterns::localizable_in(const lang::Stmt& loop) const {
-  auto it = localizable_.find(&loop);
-  return it == localizable_.end() ? std::set<std::string>{} : it->second;
+bool Patterns::is_localizable(const lang::Stmt& loop, int var) const {
+  return localizable_.count({&loop, var}) > 0;
 }
 
 const Reduction* Patterns::reduction_at(const lang::Stmt& s) const {
@@ -286,14 +288,7 @@ const Assembly* Patterns::assembly_at(const lang::Stmt& s) const {
   return nullptr;
 }
 
-const Induction* Patterns::induction_at(const lang::Stmt& s) const {
-  for (const auto& i : inductions_)
-    if (i.stmt == &s) return &i;
-  return nullptr;
-}
-
-bool Patterns::is_reduction_var(const lang::Stmt& loop,
-                                const std::string& var) const {
+bool Patterns::is_reduction_var(const lang::Stmt& loop, int var) const {
   for (const auto& r : reductions_)
     if (r.loop == &loop && r.var == var) return true;
   return false;

@@ -16,9 +16,8 @@
 //                             the iteration count.
 #pragma once
 
-#include <map>
 #include <set>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "dfg/cfg.hpp"
@@ -28,23 +27,24 @@
 
 namespace meshpar::dfg {
 
+// Every record's `var` is the symbol (Subroutine::symbols) of its variable.
 struct Reduction {
   const lang::Stmt* stmt = nullptr;  // the accumulating assignment
-  std::string var;
+  int var = -1;
   lang::BinOp op = lang::BinOp::kAdd;
   const lang::Stmt* loop = nullptr;  // innermost enclosing DO
 };
 
 struct Assembly {
   const lang::Stmt* stmt = nullptr;
-  std::string var;
+  int var = -1;
   lang::BinOp op = lang::BinOp::kAdd;
   const lang::Stmt* loop = nullptr;
 };
 
 struct Induction {
   const lang::Stmt* stmt = nullptr;
-  std::string var;
+  int var = -1;
   const lang::Stmt* loop = nullptr;
 };
 
@@ -63,30 +63,23 @@ class Patterns {
     return inductions_;
   }
 
-  /// True if `var` can be privatized in `loop`.
-  [[nodiscard]] bool is_localizable(const lang::Stmt& loop,
-                                    const std::string& var) const;
-  /// The set of localizable scalars of a loop.
-  [[nodiscard]] std::set<std::string> localizable_in(
-      const lang::Stmt& loop) const;
+  /// True if symbol `var` can be privatized in `loop`.
+  [[nodiscard]] bool is_localizable(const lang::Stmt& loop, int var) const;
 
   /// The reduction recognized at this statement, if any.
   [[nodiscard]] const Reduction* reduction_at(const lang::Stmt& s) const;
   /// The assembly recognized at this statement, if any.
   [[nodiscard]] const Assembly* assembly_at(const lang::Stmt& s) const;
-  /// The induction recognized at this statement, if any.
-  [[nodiscard]] const Induction* induction_at(const lang::Stmt& s) const;
 
-  /// True if the statement's variable is a recognized reduction accumulator
-  /// in the given loop.
-  [[nodiscard]] bool is_reduction_var(const lang::Stmt& loop,
-                                      const std::string& var) const;
+  /// True if symbol `var` is a recognized reduction accumulator in the
+  /// given loop.
+  [[nodiscard]] bool is_reduction_var(const lang::Stmt& loop, int var) const;
 
  private:
   std::vector<Reduction> reductions_;
   std::vector<Assembly> assemblies_;
   std::vector<Induction> inductions_;
-  std::map<const lang::Stmt*, std::set<std::string>> localizable_;
+  std::set<std::pair<const lang::Stmt*, int>> localizable_;  // (loop, var)
 };
 
 }  // namespace meshpar::dfg

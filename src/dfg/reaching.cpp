@@ -30,7 +30,7 @@ ReachingDefs ReachingDefs::solve(const lang::Subroutine& sub, const Cfg& cfg,
   for (const auto& p : sub.params) {
     Definition d;
     d.id = static_cast<int>(rd.defs_.size());
-    d.var = p;
+    d.var = sub.symbol(p);
     d.may = false;
     rd.defs_.push_back(d);
   }
@@ -96,22 +96,14 @@ ReachingDefs ReachingDefs::solve(const lang::Subroutine& sub, const Cfg& cfg,
   return rd;
 }
 
-std::vector<int> ReachingDefs::reaching(const lang::Stmt& s,
-                                        const std::string& var) const {
+std::vector<int> ReachingDefs::reaching_at(NodeId n, int var) const {
   std::vector<int> out;
-  for (int id : in_[cfg_->node_of(s)])
+  for (int id : in_[n])
     if (defs_[id].var == var) out.push_back(id);
   return out;
 }
 
-std::vector<int> ReachingDefs::reaching_exit(const std::string& var) const {
-  std::vector<int> out;
-  for (int id : in_[kExit])
-    if (defs_[id].var == var) out.push_back(id);
-  return out;
-}
-
-std::vector<int> ReachingDefs::defs_of(const std::string& var) const {
+std::vector<int> ReachingDefs::defs_of(int var) const {
   std::vector<int> out;
   for (const auto& d : defs_)
     if (d.var == var) out.push_back(d.id);
@@ -122,7 +114,7 @@ int ReachingDefs::def_at(const lang::Stmt& s) const {
   return def_at_stmt_[s.id];
 }
 
-int ReachingDefs::entry_def(const std::string& var) const {
+int ReachingDefs::entry_def(int var) const {
   for (const auto& d : defs_) {
     if (!d.is_entry()) break;  // entry defs are first
     if (d.var == var) return d.id;

@@ -7,7 +7,6 @@
 // program class, where arrays are rebuilt wholesale each time step.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "dfg/cfg.hpp"
@@ -17,7 +16,7 @@ namespace meshpar::dfg {
 
 struct Definition {
   int id = -1;
-  std::string var;
+  int var = -1;  // the defined variable's symbol (Subroutine::symbols)
   /// Defining statement, or nullptr for the synthetic entry definition of a
   /// parameter.
   const lang::Stmt* stmt = nullptr;
@@ -39,27 +38,32 @@ class ReachingDefs {
   /// Definition ids reaching the *start* of CFG node `n`.
   [[nodiscard]] const std::vector<int>& in(NodeId n) const { return in_[n]; }
 
-  /// Definition ids of variable `var` reaching the start of statement `s`.
-  [[nodiscard]] std::vector<int> reaching(const lang::Stmt& s,
-                                          const std::string& var) const;
+  /// Definition ids of symbol `var` reaching the start of statement `s`.
+  [[nodiscard]] std::vector<int> reaching(const lang::Stmt& s, int var) const {
+    return reaching_at(cfg_->node_of(s), var);
+  }
 
-  /// Definition ids of `var` reaching subroutine exit.
-  [[nodiscard]] std::vector<int> reaching_exit(const std::string& var) const;
+  /// Definition ids of symbol `var` reaching subroutine exit.
+  [[nodiscard]] std::vector<int> reaching_exit(int var) const {
+    return reaching_at(kExit, var);
+  }
 
-  /// All definition ids for a variable.
-  [[nodiscard]] std::vector<int> defs_of(const std::string& var) const;
+  /// All definition ids of symbol `var`.
+  [[nodiscard]] std::vector<int> defs_of(int var) const;
 
   /// The definition made by statement `s`, or -1.
   [[nodiscard]] int def_at(const lang::Stmt& s) const;
 
-  /// The synthetic entry definition of parameter `var`, or -1.
-  [[nodiscard]] int entry_def(const std::string& var) const;
+  /// The synthetic entry definition of parameter symbol `var`, or -1.
+  [[nodiscard]] int entry_def(int var) const;
 
  private:
   std::vector<Definition> defs_;
   std::vector<std::vector<int>> in_;  // sorted def ids per node
   std::vector<int> def_at_stmt_;      // stmt id -> def id or -1
   const Cfg* cfg_ = nullptr;
+
+  [[nodiscard]] std::vector<int> reaching_at(NodeId n, int var) const;
 };
 
 }  // namespace meshpar::dfg

@@ -5,12 +5,11 @@
 namespace meshpar::interp {
 
 CoherenceModel::CoherenceModel(const placement::ProgramModel& model)
-    : symbols_(model.sub().symbols),
-      pattern_(model.autom().pattern()),
+    : pattern_(model.autom().pattern()),
       depth_(model.autom().halo_depth()),
-      tracked_(symbols_.size()) {
-  for (std::size_t sym = 0; sym < symbols_.size(); ++sym)
-    if (auto entity = model.spec().entity_of(symbols_[sym]);
+      tracked_(model.sub().symbols.size()) {
+  for (std::size_t sym = 0; sym < tracked_.size(); ++sym)
+    if (auto entity = model.entity_of(static_cast<int>(sym));
         entity && tracks(*entity))
       tracked_[sym] = entity;
   const std::size_t n = model.cfg().statements().size();
@@ -43,22 +42,11 @@ CoherenceModel::CoherenceModel(const placement::ProgramModel& model)
   }
 }
 
-const std::string* CoherenceModel::def_var(const lang::Stmt& s) const {
-  const int sym = def_sym(s);
-  return sym >= 0 ? &symbols_[static_cast<std::size_t>(sym)] : nullptr;
-}
-
 ReadCheck CoherenceModel::read_check(const lang::Stmt& s, int sym) const {
   if (sym < 0 || def_sym(s) != sym) return ReadCheck::kNormal;
   if (is_scatter(s)) return ReadCheck::kSkipAccumulator;
   if (partitioned_loop(s)) return ReadCheck::kPreviousGeneration;
   return ReadCheck::kNormal;
-}
-
-ReadCheck CoherenceModel::read_check(const lang::Stmt& s,
-                                     const std::string& var) const {
-  const std::string* dv = def_var(s);
-  return dv && *dv == var ? read_check(s, def_sym(s)) : ReadCheck::kNormal;
 }
 
 int CoherenceModel::write_valid_layers(const lang::Stmt& s,

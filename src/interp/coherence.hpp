@@ -26,7 +26,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "placement/model.hpp"
@@ -65,8 +64,10 @@ class CoherenceModel {
                : std::nullopt;
   }
 
-  /// The tracked array defined by this assignment, or nullptr.
-  [[nodiscard]] const std::string* def_var(const lang::Stmt& s) const;
+  /// The symbol of the tracked array defined by this assignment, or -1.
+  [[nodiscard]] int def_sym(const lang::Stmt& s) const {
+    return def_sym_[static_cast<std::size_t>(s.id)];
+  }
 
   /// True if the definition at `s` is an assembly/scatter store.
   [[nodiscard]] bool is_scatter(const lang::Stmt& s) const {
@@ -97,9 +98,6 @@ class CoherenceModel {
 
   /// How a read of symbol `sym` at statement `s` is checked.
   [[nodiscard]] ReadCheck read_check(const lang::Stmt& s, int sym) const;
-  /// The same for a read named `var`.
-  [[nodiscard]] ReadCheck read_check(const lang::Stmt& s,
-                                     const std::string& var) const;
 
   [[nodiscard]] automaton::PatternKind pattern() const { return pattern_; }
   /// The automaton's halo depth: the valid-depth value meaning "every
@@ -128,7 +126,6 @@ class CoherenceModel {
                                          int domain_layers) const;
 
  private:
-  const std::vector<std::string>& symbols_;
   automaton::PatternKind pattern_;
   int depth_ = 1;
   std::vector<std::optional<automaton::EntityKind>> tracked_;  // by symbol
@@ -138,11 +135,6 @@ class CoherenceModel {
   std::vector<const lang::Stmt*> loop_of_;
   std::vector<std::vector<int>> ticks_;
   std::vector<char> first_write_;
-
-  /// The symbol of the tracked array defined by this assignment, or -1.
-  [[nodiscard]] int def_sym(const lang::Stmt& s) const {
-    return def_sym_[static_cast<std::size_t>(s.id)];
-  }
 };
 
 }  // namespace meshpar::interp

@@ -27,9 +27,9 @@ using placement::ProgramModel;
 
 namespace {
 
-/// Looks up the reduction operator for a scalar (for the "+ reduction"
-/// synchronization). Defaults to sum.
-lang::BinOp reduction_op(const ProgramModel& model, const std::string& var) {
+/// Looks up the reduction operator for a scalar symbol (for the "+
+/// reduction" synchronization). Defaults to sum.
+lang::BinOp reduction_op(const ProgramModel& model, int var) {
   for (const auto& r : model.patterns().reductions())
     if (r.var == var) return r.op;
   return lang::BinOp::kAdd;
@@ -355,8 +355,9 @@ class SpmdHooks : public ExecHooks {
     });
     for (const placement::SyncPoint* sp : group) {
       const Binding& b = frame.vars[sp->var];
-      if (sanitizer_) sanitizer_->on_exchange(model_.sub().symbol(sp->var), b);
-      if (checkpoint) contribute_checkpoint(ordinal, sp->var, b);
+      const int sym = model_.sub().symbol(sp->var);
+      if (sanitizer_) sanitizer_->on_exchange(sym, b);
+      if (checkpoint) contribute_checkpoint(ordinal, *sp, sym, b);
     }
   }
 
@@ -366,10 +367,11 @@ class SpmdHooks : public ExecHooks {
   /// which no cell-granular oracle can flag.
   void run_reduction(const placement::SyncPoint& sp, Frame& frame) {
     Binding& b = frame.vars[sp.var];
+    const lang::BinOp op = reduction_op(model_, model_.sub().symbol(sp.var));
     traced_sync(std::string("sync:") + placement::method_name(sp.action) +
                     ":" + sp.var,
                 -1, [&] {
-                  b.scalar = reduction_op(model_, sp.var) == lang::BinOp::kMul
+                  b.scalar = op == lang::BinOp::kMul
                                  ? rank_.allreduce_prod(b.scalar)
                                  : rank_.allreduce_sum(b.scalar);
                 });
@@ -429,10 +431,10 @@ class SpmdHooks : public ExecHooks {
   /// for triangles. Only 1-D entity arrays participate (the synced
   /// variables always are); anything else is skipped symmetrically on
   /// every rank, so epoch completeness is unaffected.
-  void contribute_checkpoint(long long ordinal, const std::string& var,
-                             const Binding& b) {
+  void contribute_checkpoint(long long ordinal, const placement::SyncPoint& sp,
+                             int sym, const Binding& b) {
     const SubMesh& sub = d_.subs[rank_.id()];
-    auto entity = model_.spec().entity_of(var);
+    auto entity = model_.entity_of(sym);
     std::vector<std::pair<int, double>> owned;
     if (entity == automaton::EntityKind::kNode &&
         b.array.size() == sub.node_l2g.size()) {
@@ -446,7 +448,7 @@ class SpmdHooks : public ExecHooks {
         if (sub.tri_owned[l])
           owned.emplace_back(sub.tri_l2g[l], b.array[l]);
     }
-    ckpt_->contribute(rank_.id(), ordinal, var, owned);
+    ckpt_->contribute(rank_.id(), ordinal, sp.var, owned);
   }
 };
 
@@ -477,7 +479,7 @@ void bind_mesh(Frame& frame, const ProgramModel& model,
   }
   for (const auto& decl : model.sub().decls) {
     if (!decl.is_array() || frame.has(decl.name)) continue;
-    auto entity = model.spec().entity_of(decl.name);
+    auto entity = model.entity_of(model.sub().symbol(decl.name));
     if (!entity) continue;
     long long n = *entity == automaton::EntityKind::kNode
                       ? static_cast<long long>(sub.node_l2g.size())
@@ -516,9 +518,9 @@ MeshBinding testt_binding(const mesh::Mesh2D& m) {
 MeshBinding synthetic_binding(const placement::ProgramModel& model,
                               const mesh::Mesh2D& m) {
   MeshBinding binding = testt_binding(m);
-  for (const auto& [name, level] : model.spec().inputs) {
-    (void)level;
-    auto entity = model.spec().entity_of(name);
+  for (const placement::SpecVar& in : model.inputs()) {
+    const std::string& name = model.sub().symbols[in.sym];
+    auto entity = model.entity_of(in.sym);
     if (entity == automaton::EntityKind::kNode) {
       if (!binding.node_fields.count(name)) {
         std::vector<double> field(static_cast<std::size_t>(m.num_nodes()));
@@ -561,11 +563,11 @@ RunResult run_sequential(const ProgramModel& model, const mesh::Mesh2D& m,
     out.error = diags.str();
     return out;
   }
-  for (const auto& [name, level] : model.spec().outputs) {
-    (void)level;
-    if (model.spec().entity_of(name) == automaton::EntityKind::kNode)
+  for (const placement::SpecVar& o : model.outputs())
+    if (model.entity_of(o.sym) == automaton::EntityKind::kNode) {
+      const std::string& name = model.sub().symbols[o.sym];
       out.node_outputs[name] = frame.array(name);
-  }
+    }
   out.ok = true;
   collect_scalars(frame, out);
   return out;
@@ -601,10 +603,9 @@ RunResult run_spmd_sanitized(runtime::World& world, const ProgramModel& model,
 
     // Gather outputs.
     std::map<std::string, std::vector<double>> gathered;
-    for (const auto& [name, level] : model.spec().outputs) {
-      (void)level;
-      if (model.spec().entity_of(name) != automaton::EntityKind::kNode)
-        continue;
+    for (const placement::SpecVar& o : model.outputs()) {
+      if (model.entity_of(o.sym) != automaton::EntityKind::kNode) continue;
+      const std::string& name = model.sub().symbols[o.sym];
       auto field = frame.array(name);
       gathered[name] =
           solver::gather_field(rank, d, field, m.num_nodes());

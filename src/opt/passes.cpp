@@ -108,7 +108,7 @@ std::vector<NaturalLoop> natural_loops(const Cfg& cfg) {
   return loops;
 }
 
-bool stmt_reads(const dfg::StmtDefUse& du, const std::string& var) {
+bool stmt_reads(const dfg::StmtDefUse& du, int var) {
   for (const dfg::VarAccess& u : du.uses) {
     if (u.var == var) return true;
     if (std::find(u.index_reads.begin(), u.index_reads.end(), var) !=
@@ -123,7 +123,7 @@ bool stmt_reads(const dfg::StmtDefUse& du, const std::string& var) {
   return false;
 }
 
-bool stmt_writes(const dfg::StmtDefUse& du, const std::string& var) {
+bool stmt_writes(const dfg::StmtDefUse& du, int var) {
   return du.def && du.def->var == var;
 }
 
@@ -155,13 +155,14 @@ PassResult hoist_invariant_syncs(const ProgramModel& model, Placement& p) {
         loop = &l;
     if (!loop) continue;
     const NodeId header = loop->header;
+    const int var = model.sub().symbol(sp.var);
 
     // (1) Loop-invariance: the variable is never written inside the loop,
     // so the values the exchange ships are the same every iteration.
     bool invariant = true;
     for (NodeId n : loop->body) {
       const lang::Stmt* s = cfg.stmt(n);
-      if (s && stmt_writes(model.defuse(*s), sp.var)) {
+      if (s && stmt_writes(model.defuse(*s), var)) {
         invariant = false;
         break;
       }
@@ -180,7 +181,7 @@ PassResult hoist_invariant_syncs(const ProgramModel& model, Placement& p) {
       for (NodeId n : loop->body) {
         const lang::Stmt* s = cfg.stmt(n);
         if (!s || s == sp.before) continue;
-        if (!stmt_reads(model.defuse(*s), sp.var)) continue;
+        if (!stmt_reads(model.defuse(*s), var)) continue;
         if (n == header || cfg.reaches(header, n, at)) {
           safe = false;
           break;
@@ -207,7 +208,7 @@ PassResult hoist_invariant_syncs(const ProgramModel& model, Placement& p) {
     if (in_any_loop(loops, pre)) continue;
     if (cfg.succs(pre).size() != 1 || cfg.succs(pre)[0] != header) continue;
     const dfg::StmtDefUse& du = model.defuse(*dest);
-    if (stmt_writes(du, sp.var) || stmt_reads(du, sp.var)) continue;
+    if (stmt_writes(du, var) || stmt_reads(du, var)) continue;
 
     sp.before = dest;
     sp.in_cycle = in_any_loop(loops, pre);  // false by construction
@@ -218,7 +219,11 @@ PassResult hoist_invariant_syncs(const ProgramModel& model, Placement& p) {
 
 PassResult vectorize_messages(const ProgramModel& model, Placement& p) {
   PassResult r{PassKind::kVectorize};
-  for (SyncPoint& sp : p.syncs) sp.fuse_group = -1;
+  std::vector<int> sync_sym;  // the symbol each sync names
+  for (SyncPoint& sp : p.syncs) {
+    sp.fuse_group = -1;
+    sync_sym.push_back(model.sub().symbol(sp.var));
+  }
 
   int next_group = 0;
   for (std::size_t i = 0; i < p.syncs.size(); ++i) {
@@ -229,20 +234,20 @@ PassResult vectorize_messages(const ProgramModel& model, Placement& p) {
       continue;
     // Only node arrays share the node exchange schedule; anything else
     // cannot ride the same message.
-    if (model.spec().entity_of(a.var) != automaton::EntityKind::kNode)
-      continue;
+    const int a_sym = sync_sym[i];
+    if (model.entity_of(a_sym) != automaton::EntityKind::kNode) continue;
 
     std::vector<std::size_t> members{i};
-    std::set<std::string> vars{a.var};
+    std::set<int> vars{a_sym};
     for (std::size_t j = i + 1; j < p.syncs.size(); ++j) {
       const SyncPoint& b = p.syncs[j];
       if (b.before != a.before || b.action != a.action) continue;
       if (b.fuse_group >= 0) continue;
-      if (model.spec().entity_of(b.var) != automaton::EntityKind::kNode)
+      if (model.entity_of(sync_sym[j]) != automaton::EntityKind::kNode)
         continue;
       // A duplicate variable cannot be aggregated (its payload would be
       // shipped twice in one message); leave it unfused.
-      if (!vars.insert(b.var).second) continue;
+      if (!vars.insert(sync_sym[j]).second) continue;
       members.push_back(j);
     }
     if (members.size() < 2) continue;

@@ -20,14 +20,6 @@ std::string stmt_ref(const Stmt* s) {
   return os.str();
 }
 
-std::string dep_text(const Dependence& d) {
-  std::ostringstream os;
-  os << to_string(d.kind) << " dep";
-  if (!d.var.empty()) os << " on '" << d.var << "'";
-  os << " " << stmt_ref(d.src) << " -> " << stmt_ref(d.dst);
-  return os.str();
-}
-
 class Checker {
  public:
   explicit Checker(const ProgramModel& model) : m_(model) {}
@@ -61,7 +53,7 @@ class Checker {
               static_cast<double>(d.stmt->rhs->int_val) == identity));
         if (!is_identity) {
           add(Fig4Case::kA, Verdict::kForbidden, nullptr,
-              "assembly of '" + a.var + "' at " + to_string(a.stmt->loc) +
+              "assembly of '" + name(a.var) + "' at " + to_string(a.stmt->loc) +
                   " is reached by a non-identity initialization; the "
                   "node-boundary pattern would count it once per holder");
         }
@@ -75,6 +67,17 @@ class Checker {
 
   void add(Fig4Case c, Verdict v, const Dependence* dep, std::string msg) {
     report_.findings.push_back({c, v, dep, std::move(msg)});
+  }
+
+  [[nodiscard]] const std::string& name(int sym) const {
+    return m_.sub().symbols[static_cast<std::size_t>(sym)];
+  }
+  [[nodiscard]] std::string dep_text(const Dependence& d) const {
+    std::ostringstream os;
+    os << to_string(d.kind) << " dep";
+    if (d.var >= 0) os << " on '" << name(d.var) << "'";
+    os << " " << stmt_ref(d.src) << " -> " << stmt_ref(d.dst);
+    return os.str();
   }
 
   void check_structure() {
@@ -108,7 +111,7 @@ class Checker {
     // that (re)defines its own variable are recreated per processor and
     // never constrain the partitioning.
     if (d.kind != DepKind::kTrue && d.dst && d.dst->kind == StmtKind::kDo &&
-        d.dst->do_var == d.var) {
+        d.dst->do_sym == d.var) {
       add(Fig4Case::kH, Verdict::kRemovedInduction, &d,
           dep_text(d) + ": loop variable reinitialization");
       return;
@@ -221,7 +224,7 @@ class Checker {
     // partitioned loop (case f already). Reading the array *elementwise* in
     // sequential code is the forbidden "particular, explicit, partitioned
     // iteration".
-    if (m_.spec().entity_of(d.var).has_value()) {
+    if (m_.entity_of(d.var).has_value()) {
       if (!d.dst) {
         add(Fig4Case::kF, Verdict::kRespected, &d,
             dep_text(d) + ": partitioned array flows to the output");
@@ -250,16 +253,16 @@ class Checker {
       const dfg::StmtDefUse& du = m_.defuse(*s);
       const Stmt* loop = m_.enclosing_partitioned(*s);
       auto check_access = [&](const dfg::VarAccess& a, bool is_def) {
-        auto entity = m_.spec().entity_of(a.var);
+        auto entity = m_.entity_of(a.var);
         if (!entity) return;  // replicated array or scalar
         if (!loop) {
           if (!is_def && !d_is_output_copy(*s)) {
             add(Fig4Case::kG, Verdict::kForbidden, nullptr,
-                "distributed array '" + a.var + "' accessed at " +
+                "distributed array '" + name(a.var) + "' accessed at " +
                     to_string(a.loc) + " outside any partitioned loop");
           } else if (is_def) {
             add(Fig4Case::kG, Verdict::kForbidden, nullptr,
-                "distributed array '" + a.var + "' written at " +
+                "distributed array '" + name(a.var) + "' written at " +
                     to_string(a.loc) + " outside any partitioned loop");
           }
           return;
@@ -268,7 +271,7 @@ class Checker {
           const LoopRule* rule = m_.partition_rule(*loop);
           if (rule->entity != *entity) {
             add(Fig4Case::kA, Verdict::kForbidden, nullptr,
-                "array '" + a.var + "' partitioned on " +
+                "array '" + name(a.var) + "' partitioned on " +
                     automaton::to_string(*entity) + " accessed elementwise " +
                     "in a loop partitioned on " +
                     automaton::to_string(rule->entity) + " at " +
@@ -277,7 +280,7 @@ class Checker {
         }
         if (a.shape == AccessShape::kWhole) {
           add(Fig4Case::kG, Verdict::kForbidden, nullptr,
-              "distributed array '" + a.var +
+              "distributed array '" + name(a.var) +
                   "' passed as a whole object at " + to_string(a.loc));
         }
       };

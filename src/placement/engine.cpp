@@ -126,7 +126,7 @@ Engine::Engine(const ProgramModel& model, const FlowGraph& fg)
         if (!model.cfg().inside(*s, *loop)) continue;
         const dfg::StmtDefUse& du = model.defuse(*s);
         if (!du.def) continue;
-        if (!model.spec().entity_of(du.def->var)) continue;
+        if (!model.entity_of(du.def->var)) continue;
         const int w = fg.write_occ(*s);
         if (w >= 0) occs.insert(w);
       }

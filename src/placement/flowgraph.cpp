@@ -1,7 +1,6 @@
 #include "placement/flowgraph.hpp"
 
-#include <map>
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 namespace meshpar::placement {
@@ -13,14 +12,14 @@ using dfg::AccessShape;
 using lang::Stmt;
 using lang::StmtKind;
 
-std::string Occurrence::describe() const {
+std::string Occurrence::describe(const lang::Subroutine& sub) const {
   std::ostringstream os;
   switch (kind) {
-    case OccKind::kInput: os << "input " << var; break;
-    case OccKind::kWrite: os << "write " << var; break;
-    case OccKind::kRead: os << "read " << var; break;
+    case OccKind::kInput: os << "input " << sub.symbols[var]; break;
+    case OccKind::kWrite: os << "write " << sub.symbols[var]; break;
+    case OccKind::kRead: os << "read " << sub.symbols[var]; break;
     case OccKind::kPredicate: os << "predicate"; break;
-    case OccKind::kOutput: os << "output " << var; break;
+    case OccKind::kOutput: os << "output " << sub.symbols[var]; break;
   }
   if (stmt) os << " @" << to_string(stmt->loc);
   return os.str();
@@ -47,25 +46,19 @@ int FlowGraph::write_occ(const Stmt& s) const {
   return -1;
 }
 
-int FlowGraph::read_occ(const Stmt& s, const std::string& var) const {
+int FlowGraph::read_occ(const Stmt& s, int var) const {
   for (const auto& o : occs_)
     if (o.kind == OccKind::kRead && o.stmt == &s && o.var == var) return o.id;
   return -1;
 }
 
-int FlowGraph::predicate_occ(const Stmt& s) const {
-  for (const auto& o : occs_)
-    if (o.kind == OccKind::kPredicate && o.stmt == &s) return o.id;
-  return -1;
-}
-
-int FlowGraph::input_occ(const std::string& var) const {
+int FlowGraph::input_occ(int var) const {
   for (const auto& o : occs_)
     if (o.kind == OccKind::kInput && o.var == var) return o.id;
   return -1;
 }
 
-int FlowGraph::output_occ(const std::string& var) const {
+int FlowGraph::output_occ(int var) const {
   for (const auto& o : occs_)
     if (o.kind == OccKind::kOutput && o.var == var) return o.id;
   return -1;
@@ -74,7 +67,11 @@ int FlowGraph::output_occ(const std::string& var) const {
 class FlowGraphBuilder {
  public:
   FlowGraphBuilder(const ProgramModel& m, DiagnosticEngine& diags)
-      : m_(m), diags_(diags) {}
+      : m_(m),
+        diags_(diags),
+        input_of_(m.sub().symbols.size(), -1),
+        write_of_(m.cfg().statements().size(), -1),
+        pred_of_(write_of_) {}
 
   FlowGraph run() {
     build_inputs();
@@ -103,10 +100,17 @@ class FlowGraphBuilder {
   const ProgramModel& m_;
   DiagnosticEngine& diags_;
   FlowGraph fg_;
-  std::map<std::string, int> input_of_;
-  std::map<int, int> write_of_;                          // stmt id -> occ
-  std::map<int, int> pred_of_;                           // stmt id -> occ
-  std::map<std::pair<int, std::string>, int> read_of_;   // (stmt, var) -> occ
+  std::vector<int> input_of_;  // symbol -> occ or -1
+  std::vector<int> write_of_;  // stmt id -> occ or -1
+  std::vector<int> pred_of_;   // stmt id -> occ or -1
+  /// Read occurrences in (statement id, variable name) order, the order
+  /// the true and value arrows are numbered in.
+  struct Read {
+    const Stmt* stmt;
+    int var;
+    int occ;
+  };
+  std::vector<Read> reads_;
 
   std::optional<int> fixed(EntityKind shape, int level) {
     auto s = m_.autom().find_state(shape, level);
@@ -119,44 +123,38 @@ class FlowGraphBuilder {
     return s;
   }
 
-  EntityKind shape_of_var_at(const std::string& var, const Stmt& s) {
-    return m_.shape_at(var, s);
-  }
-
   /// Should this use be modeled as a read occurrence? DO variables of
   /// enclosing loops and recognized induction variables are loop machinery,
   /// removed as §3.2 prescribes.
-  bool is_machinery(const std::string& var, const Stmt& s) const {
+  bool is_machinery(int var, const Stmt& s) const {
     for (const Stmt* l = m_.cfg().enclosing_do(s); l;
          l = m_.cfg().enclosing_do(*l)) {
-      if (l->do_var == var) return true;
+      if (l->do_sym == var) return true;
       for (const auto& ind : m_.patterns().inductions())
         if (ind.loop == l && ind.var == var) return true;
     }
     return false;
   }
 
+  void add_input(int var, int level) {
+    Occurrence o;
+    o.kind = OccKind::kInput;
+    o.var = var;
+    o.shape = m_.entity_of(var).value_or(EntityKind::kScalar);
+    o.fixed_state = fixed(o.shape, level);
+    input_of_[static_cast<std::size_t>(var)] = fg_.add_occ(std::move(o));
+  }
+
   void build_inputs() {
-    for (const auto& [var, level] : m_.spec().inputs) {
-      Occurrence o;
-      o.kind = OccKind::kInput;
-      o.var = var;
-      o.shape = m_.spec().entity_of(var).value_or(EntityKind::kScalar);
-      o.fixed_state = fixed(o.shape, level);
-      input_of_[var] = fg_.add_occ(std::move(o));
-    }
+    for (const SpecVar& in : m_.inputs()) add_input(in.sym, in.level);
     // Parameters without a declared input state default to coherent.
     for (const auto& p : m_.sub().params) {
-      if (input_of_.count(p)) continue;
+      const int var = m_.sub().symbol(p);
+      if (input_of_[static_cast<std::size_t>(var)] >= 0) continue;
       diags_.warning({}, "parameter '" + p +
                              "' has no declared input state; assuming "
                              "coherent/replicated");
-      Occurrence o;
-      o.kind = OccKind::kInput;
-      o.var = p;
-      o.shape = m_.spec().entity_of(p).value_or(EntityKind::kScalar);
-      o.fixed_state = fixed(o.shape, 0);
-      input_of_[p] = fg_.add_occ(std::move(o));
+      add_input(var, 0);
     }
   }
 
@@ -168,7 +166,7 @@ class FlowGraphBuilder {
         o.kind = OccKind::kWrite;
         o.stmt = s;
         o.var = du.def->var;
-        o.shape = shape_of_var_at(o.var, *s);
+        o.shape = m_.shape_at(o.var, *s);
         // Partitioned DO variables iterate local entities: always coherent.
         if (s->kind == StmtKind::kDo && m_.is_partitioned(*s))
           o.fixed_state = fixed(o.shape, 0);
@@ -183,28 +181,35 @@ class FlowGraphBuilder {
                        : EntityKind::kScalar;
         pred_of_[s->id] = fg_.add_occ(std::move(o));
       }
-      // Read occurrences, one per distinct consumed variable.
-      std::set<std::string> seen;
+      // Read occurrences, one per distinct consumed variable, numbered in
+      // use order; reads_ lists them in name order.
+      const auto first = static_cast<std::ptrdiff_t>(reads_.size());
       for (const auto& u : du.uses) {
-        if (!seen.insert(u.var).second) continue;
+        if (std::any_of(reads_.begin() + first, reads_.end(),
+                        [&](const Read& r) { return r.var == u.var; }))
+          continue;
         if (is_machinery(u.var, *s)) continue;
         Occurrence o;
         o.kind = OccKind::kRead;
         o.stmt = s;
         o.var = u.var;
-        o.shape = shape_of_var_at(u.var, *s);
-        read_of_[{s->id, u.var}] = fg_.add_occ(std::move(o));
+        o.shape = m_.shape_at(u.var, *s);
+        reads_.push_back({s, u.var, fg_.add_occ(std::move(o))});
       }
+      std::sort(reads_.begin() + first, reads_.end(),
+                [&](const Read& a, const Read& b) {
+                  return m_.sub().name_rank[a.var] < m_.sub().name_rank[b.var];
+                });
     }
   }
 
   void build_outputs() {
-    for (const auto& [var, level] : m_.spec().outputs) {
+    for (const SpecVar& out : m_.outputs()) {
       Occurrence o;
       o.kind = OccKind::kOutput;
-      o.var = var;
-      o.shape = m_.spec().entity_of(var).value_or(EntityKind::kScalar);
-      o.fixed_state = fixed(o.shape, level);
+      o.var = out.sym;
+      o.shape = m_.entity_of(out.sym).value_or(EntityKind::kScalar);
+      o.fixed_state = fixed(o.shape, out.level);
       fg_.add_occ(std::move(o));
     }
   }
@@ -212,25 +217,23 @@ class FlowGraphBuilder {
   /// Source occurrence of a reaching definition: a statement's write occ or
   /// the parameter's input occ.
   int def_occ(const dfg::Definition& def) {
-    if (def.is_entry()) {
-      auto it = input_of_.find(def.var);
-      return it == input_of_.end() ? -1 : it->second;
-    }
-    auto it = write_of_.find(def.stmt->id);
-    return it == write_of_.end() ? -1 : it->second;
+    if (def.is_entry()) return input_of_[static_cast<std::size_t>(def.var)];
+    return write_of_[def.stmt->id];
+  }
+
+  /// What a statement produces: its predicate occurrence (an IF) or its
+  /// write occurrence (an assignment or a DO header), else -1.
+  [[nodiscard]] int product_of(const Stmt& s) const {
+    return pred_of_[s.id] >= 0 ? pred_of_[s.id] : write_of_[s.id];
   }
 
   void build_true_arrows() {
     const auto& rd = m_.reaching();
-    for (const auto& [key, read_id] : read_of_) {
-      const Stmt* s = m_.cfg().statements()[key.first];
-      const std::string& var = key.second;
+    for (const auto& [s, var, read_id] : reads_) {
       bool into_acc = false;
-      if (const lang::Stmt* loop = m_.enclosing_partitioned(*s)) {
-        (void)loop;
+      if (m_.enclosing_partitioned(*s))
         if (const dfg::Reduction* r = m_.patterns().reduction_at(*s))
           into_acc = r->var == var;
-      }
       bool any = false;
       for (int def_id : rd.reaching(*s, var)) {
         int src = def_occ(rd.definitions()[def_id]);
@@ -240,19 +243,18 @@ class FlowGraphBuilder {
         any = true;
       }
       if (!any) {
-        diags_.warning(s->loc,
-                       "variable '" + var + "' may be read uninitialized");
+        diags_.warning(s->loc, "variable '" + m_.sub().symbols[var] +
+                                   "' may be read uninitialized");
       }
     }
     // Results: every definition reaching exit flows into the output occ.
-    for (const auto& [var, level] : m_.spec().outputs) {
-      (void)level;
-      int out = fg_.output_occ(var);
-      for (int def_id : rd.reaching_exit(var)) {
+    for (const SpecVar& o : m_.outputs()) {
+      int out = fg_.output_occ(o.sym);
+      for (int def_id : rd.reaching_exit(o.sym)) {
         int src = def_occ(rd.definitions()[def_id]);
         if (src >= 0)
           fg_.add_arrow({-1, src, out, ArrowKind::kTrue,
-                         ValueClass::kIdentity, var});
+                         ValueClass::kIdentity, o.sym});
       }
     }
   }
@@ -282,15 +284,8 @@ class FlowGraphBuilder {
   }
 
   void build_value_arrows() {
-    for (const auto& [key, read_id] : read_of_) {
-      const Stmt* s = m_.cfg().statements()[key.first];
-      const std::string& var = key.second;
-      // Destination: the statement's write or predicate occurrence.
-      int dst = -1;
-      auto w = write_of_.find(s->id);
-      if (w != write_of_.end()) dst = w->second;
-      auto p = pred_of_.find(s->id);
-      if (p != pred_of_.end()) dst = p->second;
+    for (const auto& [s, var, read_id] : reads_) {
+      const int dst = product_of(*s);
       if (dst < 0) continue;  // call/goto arguments have no product
 
       // The representative access of this variable in this statement.
@@ -311,22 +306,12 @@ class FlowGraphBuilder {
   void build_control_arrows() {
     for (const dfg::Dependence& d : m_.deps().all()) {
       if (d.kind != dfg::DepKind::kControl) continue;
-      int src = -1;
-      auto p = pred_of_.find(d.src->id);
-      if (p != pred_of_.end()) src = p->second;
-      if (src < 0) {
-        auto w = write_of_.find(d.src->id);  // DO headers
-        if (w != write_of_.end()) src = w->second;
-      }
+      const int src = product_of(*d.src);
       if (src < 0) continue;
-      int dst = -1;
-      auto pw = write_of_.find(d.dst->id);
-      if (pw != write_of_.end()) dst = pw->second;
-      auto pp = pred_of_.find(d.dst->id);
-      if (pp != pred_of_.end()) dst = pp->second;
+      const int dst = product_of(*d.dst);
       if (dst < 0 || dst == src) continue;
       fg_.add_arrow({-1, src, dst, ArrowKind::kControl,
-                     ValueClass::kIdentity, ""});
+                     ValueClass::kIdentity, -1});
     }
   }
 };

@@ -37,12 +37,13 @@ struct Occurrence {
   int id = -1;
   OccKind kind = OccKind::kWrite;
   const lang::Stmt* stmt = nullptr;  // null for input/output
-  std::string var;                   // empty for predicates
+  int var = -1;                      // symbol; -1 for predicates
   automaton::EntityKind shape = automaton::EntityKind::kScalar;
   /// Fixed automaton state (inputs, outputs, partitioned DO variables).
   std::optional<int> fixed_state;
 
-  [[nodiscard]] std::string describe() const;
+  /// "read x @3:7", naming the variable from `sub`'s symbols.
+  [[nodiscard]] std::string describe(const lang::Subroutine& sub) const;
 };
 
 struct FlowArrow {
@@ -51,7 +52,7 @@ struct FlowArrow {
   int dst = -1;
   automaton::ArrowKind kind = automaton::ArrowKind::kTrue;
   automaton::ValueClass vclass = automaton::ValueClass::kIdentity;
-  std::string var;  // variable for true arrows
+  int var = -1;  // symbol of the carried variable; -1 for control arrows
   /// True arrows feeding the self-read of a reduction accumulator. Only
   /// here may a replicated scalar legally "weaken" to the per-processor
   /// partial state Sca1: a replicated value is a valid partial only as a
@@ -81,13 +82,11 @@ class FlowGraph {
 
   /// The write occurrence of a statement, -1 if none.
   [[nodiscard]] int write_occ(const lang::Stmt& s) const;
-  /// The read occurrence of (statement, var), -1 if none.
-  [[nodiscard]] int read_occ(const lang::Stmt& s, const std::string& var) const;
-  /// The predicate occurrence of an IF statement, -1 if none.
-  [[nodiscard]] int predicate_occ(const lang::Stmt& s) const;
-  /// The input/output occurrence of a variable, -1 if none.
-  [[nodiscard]] int input_occ(const std::string& var) const;
-  [[nodiscard]] int output_occ(const std::string& var) const;
+  /// The read occurrence of (statement, symbol), -1 if none.
+  [[nodiscard]] int read_occ(const lang::Stmt& s, int var) const;
+  /// The input/output occurrence of a symbol, -1 if none.
+  [[nodiscard]] int input_occ(int var) const;
+  [[nodiscard]] int output_occ(int var) const;
 
  private:
   std::vector<Occurrence> occs_;

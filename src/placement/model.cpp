@@ -64,9 +64,21 @@ std::unique_ptr<ProgramModel> ProgramModel::build(std::string_view source,
     }
   }
 
-  // Spec/declaration cross-checks.
+  // The spec boundary: every name resolves to a symbol once, here, and is
+  // cross-checked against the declarations.
+  auto resolve = [&](const std::string& name, const char* kind) {
+    const int sym = m->sub_.symbol(name);
+    if (sym < 0)
+      diags.error({}, std::string("spec ") + kind + " '" + name +
+                          "' is not a variable of subroutine '" +
+                          m->sub_.name + "'");
+    return sym;
+  };
+  m->entity_.assign(m->sub_.symbols.size(), std::nullopt);
   for (const auto& [name, entity] : m->spec_.arrays) {
-    (void)entity;
+    const int sym = resolve(name, "array");
+    if (sym < 0) continue;
+    m->entity_[static_cast<std::size_t>(sym)] = entity;
     const lang::VarDecl* d = m->sub_.find_decl(name);
     if (!d)
       diags.warning({}, "spec partitions '" + name +
@@ -75,9 +87,15 @@ std::unique_ptr<ProgramModel> ProgramModel::build(std::string_view source,
       diags.error(d->loc, "spec partitions scalar '" + name + "'");
   }
   for (const auto& [name, level] : m->spec_.inputs) {
-    (void)level;
+    const int sym = resolve(name, "input");
+    if (sym < 0) continue;
+    m->inputs_.push_back({sym, level});
     if (!m->sub_.is_param(name))
       diags.warning({}, "spec input '" + name + "' is not a parameter");
+  }
+  for (const auto& [name, level] : m->spec_.outputs) {
+    const int sym = resolve(name, "output");
+    if (sym >= 0) m->outputs_.push_back({sym, level});
   }
   if (diags.has_errors()) return nullptr;
   return m;
@@ -97,17 +115,16 @@ const lang::Stmt* ProgramModel::enclosing_partitioned(
   return nullptr;
 }
 
-EntityKind ProgramModel::shape_at(const std::string& var,
-                                  const lang::Stmt& s) const {
-  if (auto entity = spec_.entity_of(var)) return *entity;
+EntityKind ProgramModel::shape_at(int var, const lang::Stmt& s) const {
+  if (auto entity = entity_of(var)) return *entity;
   // The DO variable of a partitioned loop iterates local entities.
-  if (s.kind == lang::StmtKind::kDo && s.do_var == var) {
+  if (s.kind == lang::StmtKind::kDo && s.do_sym == var) {
     if (const LoopRule* r = partition_rule(s)) return r->entity;
     return EntityKind::kScalar;
   }
   const lang::Stmt* loop = enclosing_partitioned(s);
   if (loop) {
-    if (var == loop->do_var) return partition_rule(*loop)->entity;
+    if (var == loop->do_sym) return partition_rule(*loop)->entity;
     if (patterns_.is_localizable(*loop, var))
       return partition_rule(*loop)->entity;
   }

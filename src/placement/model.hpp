@@ -7,7 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
+#include <vector>
 
 #include "automaton/automaton.hpp"
 #include "dfg/cfg.hpp"
@@ -20,10 +20,18 @@
 
 namespace meshpar::placement {
 
+/// A spec input or output, resolved to the symbol it names.
+struct SpecVar {
+  int sym = -1;
+  int level = 0;  // the declared coherence level
+};
+
 class ProgramModel {
  public:
   /// Parses and analyzes. Returns nullptr if the source, the spec, or the
-  /// pattern name is invalid (details in `diags`).
+  /// pattern name is invalid, or if the spec names a variable the
+  /// subroutine never mentions (details in `diags`). Spec names are
+  /// resolved to symbols here, once; everything below reads the symbols.
   static std::unique_ptr<ProgramModel> build(std::string_view source,
                                              std::string_view spec_text,
                                              DiagnosticEngine& diags);
@@ -37,7 +45,6 @@ class ProgramModel {
   const dfg::DepGraph& deps() const { return deps_; }
   const dfg::ReachingDefs& reaching() const { return reaching_; }
   const dfg::Patterns& patterns() const { return patterns_; }
-  const PartitionSpec& spec() const { return spec_; }
   const automaton::OverlapAutomaton& autom() const { return autom_; }
 
   /// The rule partitioning this DO loop, or nullptr.
@@ -50,11 +57,24 @@ class ProgramModel {
   [[nodiscard]] const lang::Stmt* enclosing_partitioned(
       const lang::Stmt& s) const;
 
-  /// The shape (entity kind) of variable `var` at statement `s`:
+  /// The entity a spec `array` line partitions symbol `sym` on, or nullopt
+  /// for scalars, replicated arrays and -1 (no symbol).
+  [[nodiscard]] std::optional<automaton::EntityKind> entity_of(int sym) const {
+    return static_cast<std::size_t>(sym) < entity_.size()
+               ? entity_[static_cast<std::size_t>(sym)]
+               : std::nullopt;
+  }
+  /// The spec's `input` / `output` lines, in variable-name order.
+  [[nodiscard]] const std::vector<SpecVar>& inputs() const { return inputs_; }
+  [[nodiscard]] const std::vector<SpecVar>& outputs() const {
+    return outputs_;
+  }
+
+  /// The shape (entity kind) of symbol `var` at statement `s`:
   /// partitioned arrays have their declared entity; scalars localized in the
   /// enclosing partitioned loop take the loop's entity; everything else is
   /// scalar. The DO variable of a partitioned loop is shaped like the loop.
-  [[nodiscard]] automaton::EntityKind shape_at(const std::string& var,
+  [[nodiscard]] automaton::EntityKind shape_at(int var,
                                                const lang::Stmt& s) const;
 
   /// All partitioned DO loops of the program, in pre-order.
@@ -74,6 +94,9 @@ class ProgramModel {
   dfg::Patterns patterns_;
   PartitionSpec spec_;
   automaton::OverlapAutomaton autom_{"", automaton::PatternKind::kEntityLayer};
+  std::vector<std::optional<automaton::EntityKind>> entity_;  // by symbol
+  std::vector<SpecVar> inputs_;
+  std::vector<SpecVar> outputs_;
   std::map<const lang::Stmt*, const LoopRule*> rules_;
   std::vector<const lang::Stmt*> partitioned_loops_;
 };

@@ -9,6 +9,7 @@ namespace meshpar::placement {
 SimulationResult simulate_check(const Engine& engine,
                                 const Assignment& assignment) {
   const ProgramModel& model = engine.model();
+  const lang::Subroutine& sub = model.sub();
   const FlowGraph& fg = engine.fg();
   SimulationResult result;
   const auto& autom = model.autom();
@@ -21,17 +22,17 @@ SimulationResult simulate_check(const Engine& engine,
   for (const Occurrence& o : fg.occs()) {
     int s = assignment.state_of[o.id];
     if (s < 0 || s >= static_cast<int>(autom.states().size())) {
-      result.violations.push_back(o.describe() + ": state out of range");
+      result.violations.push_back(o.describe(sub) + ": state out of range");
       continue;
     }
     if (autom.state(s).entity != o.shape) {
-      result.violations.push_back(o.describe() + ": state " +
+      result.violations.push_back(o.describe(sub) + ": state " +
                                   autom.state(s).name +
                                   " has the wrong entity kind");
     }
     if (o.fixed_state && *o.fixed_state != s) {
       result.violations.push_back(
-          o.describe() + ": required state " +
+          o.describe(sub) + ": required state " +
           autom.state(*o.fixed_state).name + " but found " +
           autom.state(s).name);
     }
@@ -40,9 +41,9 @@ SimulationResult simulate_check(const Engine& engine,
   for (const FlowArrow& a : fg.arrows()) {
     if (!engine.transition_for(assignment, a)) {
       std::ostringstream os;
-      os << fg.occ(a.src).describe() << " ["
+      os << fg.occ(a.src).describe(sub) << " ["
          << autom.state(assignment.state_of[a.src]).name << "] -> "
-         << fg.occ(a.dst).describe() << " ["
+         << fg.occ(a.dst).describe(sub) << " ["
          << autom.state(assignment.state_of[a.dst]).name
          << "]: no legal " << automaton::to_string(a.kind);
       if (a.kind == automaton::ArrowKind::kValue)

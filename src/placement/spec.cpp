@@ -33,13 +33,6 @@ std::optional<int> parse_level(const std::string& word) {
 
 }  // namespace
 
-std::optional<EntityKind> PartitionSpec::entity_of(
-    const std::string& var) const {
-  auto it = arrays.find(var);
-  if (it == arrays.end()) return std::nullopt;
-  return it->second;
-}
-
 const LoopRule* PartitionSpec::rule_for(const lang::Stmt& do_stmt) const {
   if (do_stmt.kind != lang::StmtKind::kDo) return nullptr;
   if (do_stmt.do_hi->kind != lang::ExprKind::kVarRef) return nullptr;

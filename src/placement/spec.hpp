@@ -40,16 +40,13 @@ struct PartitionSpec {
   std::string pattern_name;
   std::vector<LoopRule> loop_rules;
   /// Partitioned arrays and their entity kinds. Arrays not listed are
-  /// replicated (treated as scalar-like whole objects).
+  /// replicated (treated as scalar-like whole objects). ProgramModel
+  /// resolves these names to symbols (ProgramModel::entity_of).
   std::map<std::string, automaton::EntityKind> arrays;
   /// Initial coherence level of each input (0 = coherent / replicated).
   std::map<std::string, int> inputs;
   /// Required final coherence level of each output.
   std::map<std::string, int> outputs;
-
-  /// Entity of a partitioned array, or nullopt for scalars / replicated.
-  [[nodiscard]] std::optional<automaton::EntityKind> entity_of(
-      const std::string& var) const;
 
   /// The rule partitioning this DO statement, or nullptr. Matches on the
   /// loop variable and on the upper bound being exactly the declared bound

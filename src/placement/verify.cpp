@@ -75,13 +75,13 @@ class Verifier {
       SrcRange at = o.stmt ? SrcRange{o.stmt->loc} : SrcRange{};
       if (!state_valid(s)) {
         add(Severity::kError, kVerifyShapeMismatch, at,
-            o.describe() + ": state index " + std::to_string(s) +
+            o.describe(m_.sub()) + ": state index " + std::to_string(s) +
                 " is outside the automaton");
         continue;
       }
       if (autom.state(s).entity != o.shape) {
         add(Severity::kError, kVerifyShapeMismatch, at,
-            o.describe() + ": state " + autom.state(s).name +
+            o.describe(m_.sub()) + ": state " + autom.state(s).name +
                 " has entity kind " +
                 automaton::to_string(autom.state(s).entity) +
                 " but the occurrence is shaped " +
@@ -89,7 +89,7 @@ class Verifier {
       }
       if (o.fixed_state && *o.fixed_state != s) {
         add(Severity::kError, kVerifyBoundaryState, at,
-            o.describe() + ": the specification requires state " +
+            o.describe(m_.sub()) + ": the specification requires state " +
                 autom.state(*o.fixed_state).name + " but the placement uses " +
                 autom.state(s).name);
       }
@@ -117,6 +117,9 @@ class Verifier {
   void check_coverage() {
     const auto& autom = m_.autom();
     std::set<std::size_t> useful_syncs;
+    std::vector<int> sync_sym;  // the symbol each sync names
+    for (const SyncPoint& sp : p_.syncs)
+      sync_sym.push_back(m_.sub().symbol(sp.var));
     for (const FlowArrow& a : fg_.arrows()) {
       if (a.kind != automaton::ArrowKind::kTrue) continue;
       int ss = p_.assignment.state_of[a.src];
@@ -134,7 +137,7 @@ class Verifier {
       bool covered = false;
       for (std::size_t i = 0; i < p_.syncs.size(); ++i) {
         const SyncPoint& sp = p_.syncs[i];
-        if (sp.var != a.var || sp.action != need) continue;
+        if (sync_sym[i] != a.var || sp.action != need) continue;
         if (!cuts(sp.before, def, use)) continue;
         useful_syncs.insert(i);
         covered = true;
@@ -147,8 +150,9 @@ class Verifier {
               : SrcRange{dst.stmt ? dst.stmt->loc
                                   : (src.stmt ? src.stmt->loc : SrcLoc{})};
       std::ostringstream os;
-      os << "true dependence on '" << a.var << "' from " << src.describe()
-         << " [" << autom.state(ss).name << "] to " << dst.describe() << " ["
+      os << "true dependence on '" << m_.sub().symbols[a.var] << "' from "
+         << src.describe(m_.sub()) << " [" << autom.state(ss).name << "] to "
+         << dst.describe(m_.sub()) << " ["
          << autom.state(sd).name << "] improves coherence and needs a '"
          << method_name(need) << "' communication";
       if (autom.state(sd).level != 0) {
@@ -194,7 +198,7 @@ class Verifier {
     if (!du.def) return std::nullopt;
     if (const dfg::Reduction* r = m_.patterns().reduction_at(s))
       if (r->loop == &loop) return 0;
-    if (!m_.spec().entity_of(du.def->var)) return std::nullopt;
+    if (!m_.entity_of(du.def->var)) return std::nullopt;
     int w = fg_.write_occ(s);
     if (w < 0) return std::nullopt;
     if (m_.autom().pattern() == PatternKind::kNodeBoundary) return 1;

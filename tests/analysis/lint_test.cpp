@@ -188,7 +188,7 @@ TEST(Lint, RetargetedSyncIsDeadCommunication) {
   while (it != bad.syncs.end() && it->action != CommAction::kUpdateCopy)
     ++it;
   ASSERT_NE(it, bad.syncs.end());
-  const std::string var = it->var;
+  const int var = c.model->sub().symbol(it->var);
   const lang::Stmt* killer_loop = nullptr;
   for (const lang::Stmt* s : c.model->cfg().statements()) {
     const auto& du = c.model->defuse(*s);

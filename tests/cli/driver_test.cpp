@@ -59,6 +59,37 @@ TEST(Driver, PlaceEmitOutOfRangeFails) {
   EXPECT_NE(r.error.find("does not exist"), std::string::npos);
 }
 
+/// `place` on TESTT with one more spec line, which names a variable the
+/// subroutine never mentions.
+DriverResult place_testt_with(const std::string& spec_line) {
+  return run_driver({"place", "prog.f", "spec.txt"}, lang::testt_source(),
+                    lang::testt_spec() + spec_line + "\n");
+}
+
+TEST(Driver, SpecArrayNamingNoVariableFails) {
+  DriverResult r = place_testt_with("array nope nodes");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.error.find("spec array 'nope' is not a variable of subroutine"),
+            std::string::npos)
+      << r.error;
+}
+
+TEST(Driver, SpecInputNamingNoVariableFails) {
+  DriverResult r = place_testt_with("input nope coherent");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.error.find("spec input 'nope' is not a variable of subroutine"),
+            std::string::npos)
+      << r.error;
+}
+
+TEST(Driver, SpecOutputNamingNoVariableFails) {
+  DriverResult r = place_testt_with("output nope coherent");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.error.find("spec output 'nope' is not a variable of subroutine"),
+            std::string::npos)
+      << r.error;
+}
+
 TEST(Driver, CheckAcceptsTestt) {
   DriverResult r = run_driver({"check", "p", "s"}, lang::testt_source(),
                               lang::testt_spec());

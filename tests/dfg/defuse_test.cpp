@@ -24,7 +24,7 @@ Built build(std::string_view src) {
   return {std::move(sub), std::move(cfg), std::move(du)};
 }
 
-bool uses_var(const StmtDefUse& du, const std::string& v) {
+bool uses_var(const StmtDefUse& du, int v) {
   for (const auto& u : du.uses)
     if (u.var == v) return true;
   return false;
@@ -38,11 +38,11 @@ TEST(DefUse, ScalarAssignKills) {
       "      end\n");
   const auto& du = b.du[0];
   ASSERT_TRUE(du.def.has_value());
-  EXPECT_EQ(du.def->var, "a");
+  EXPECT_EQ(du.def->var, b.sub.symbol("a"));
   EXPECT_EQ(du.def->shape, AccessShape::kScalar);
   EXPECT_TRUE(du.kills());
-  EXPECT_TRUE(uses_var(du, "b"));
-  EXPECT_FALSE(uses_var(du, "a"));
+  EXPECT_TRUE(uses_var(du, b.sub.symbol("b")));
+  EXPECT_FALSE(uses_var(du, b.sub.symbol("a")));
 }
 
 TEST(DefUse, ElementwiseArrayAccess) {
@@ -64,7 +64,7 @@ TEST(DefUse, ElementwiseArrayAccess) {
   ASSERT_GE(du.uses.size(), 2u);
   const VarAccess* y = nullptr;
   for (const auto& u : du.uses)
-    if (u.var == "y") y = &u;
+    if (u.var == b.sub.symbol("y")) y = &u;
   ASSERT_NE(y, nullptr);
   EXPECT_EQ(y->shape, AccessShape::kElementwise);
 }
@@ -82,8 +82,8 @@ TEST(DefUse, ShiftedIndexIsElementwiseWithOffset) {
   const VarAccess* y = nullptr;
   const VarAccess* z = nullptr;
   for (const auto& u : du.uses) {
-    if (u.var == "y") y = &u;
-    if (u.var == "z") z = &u;
+    if (u.var == b.sub.symbol("y")) y = &u;
+    if (u.var == b.sub.symbol("z")) z = &u;
   }
   ASSERT_NE(y, nullptr);
   ASSERT_NE(z, nullptr);
@@ -106,7 +106,7 @@ TEST(DefUse, ConstantPlusLoopVarIsShifted) {
   const auto& du = b.du[1];
   const VarAccess* y = nullptr;
   for (const auto& u : du.uses)
-    if (u.var == "y") y = &u;
+    if (u.var == b.sub.symbol("y")) y = &u;
   ASSERT_NE(y, nullptr);
   EXPECT_EQ(y->shape, AccessShape::kElementwise);
   EXPECT_EQ(y->offset, 1);
@@ -124,7 +124,7 @@ TEST(DefUse, NonConstantShiftIsIndirect) {
   const auto& du = b.du[1];
   const VarAccess* y = nullptr;
   for (const auto& u : du.uses)
-    if (u.var == "y") y = &u;
+    if (u.var == b.sub.symbol("y")) y = &u;
   ASSERT_NE(y, nullptr);
   EXPECT_EQ(y->shape, AccessShape::kIndirect);
 }
@@ -141,7 +141,7 @@ TEST(DefUse, ConstantSecondIndexStaysElementwise) {
   const auto& du = b.du[1];
   const VarAccess* som = nullptr;
   for (const auto& u : du.uses)
-    if (u.var == "som") som = &u;
+    if (u.var == b.sub.symbol("som")) som = &u;
   ASSERT_NE(som, nullptr);
   EXPECT_EQ(som->shape, AccessShape::kElementwise);
 }
@@ -159,13 +159,13 @@ TEST(DefUse, IndirectAccessThroughScalar) {
   const auto& du = b.du[1];
   const VarAccess* old_a = nullptr;
   for (const auto& u : du.uses)
-    if (u.var == "old") old_a = &u;
+    if (u.var == b.sub.symbol("old")) old_a = &u;
   ASSERT_NE(old_a, nullptr);
   EXPECT_EQ(old_a->shape, AccessShape::kIndirect);
   ASSERT_EQ(old_a->index_reads.size(), 1u);
-  EXPECT_EQ(old_a->index_reads[0], "s");
+  EXPECT_EQ(old_a->index_reads[0], b.sub.symbol("s"));
   // The index scalar is itself a use.
-  EXPECT_TRUE(uses_var(du, "s"));
+  EXPECT_TRUE(uses_var(du, b.sub.symbol("s")));
 }
 
 TEST(DefUse, LhsIndexExpressionsAreUses) {
@@ -178,9 +178,9 @@ TEST(DefUse, LhsIndexExpressionsAreUses) {
       "      end do\n"
       "      end\n");
   const auto& du = b.du[1];
-  EXPECT_EQ(du.def->var, "x");
+  EXPECT_EQ(du.def->var, b.sub.symbol("x"));
   EXPECT_EQ(du.def->shape, AccessShape::kIndirect);
-  EXPECT_TRUE(uses_var(du, "s"));
+  EXPECT_TRUE(uses_var(du, b.sub.symbol("s")));
 }
 
 TEST(DefUse, DoHeaderDefinesLoopVariable) {
@@ -192,9 +192,9 @@ TEST(DefUse, DoHeaderDefinesLoopVariable) {
       "      end\n");
   const auto& du = b.du[0];
   ASSERT_TRUE(du.def.has_value());
-  EXPECT_EQ(du.def->var, "i");
+  EXPECT_EQ(du.def->var, b.sub.symbol("i"));
   EXPECT_TRUE(du.kills());
-  EXPECT_TRUE(uses_var(du, "n"));
+  EXPECT_TRUE(uses_var(du, b.sub.symbol("n")));
 }
 
 TEST(DefUse, IfConditionIsUseOnly) {
@@ -206,8 +206,8 @@ TEST(DefUse, IfConditionIsUseOnly) {
       "      end\n");
   const auto& du = b.du[0];
   EXPECT_FALSE(du.def.has_value());
-  EXPECT_TRUE(uses_var(du, "x"));
-  EXPECT_TRUE(uses_var(du, "eps"));
+  EXPECT_TRUE(uses_var(du, b.sub.symbol("x")));
+  EXPECT_TRUE(uses_var(du, b.sub.symbol("eps")));
 }
 
 TEST(DefUse, CallArgumentsAreWholeUses) {
@@ -218,7 +218,7 @@ TEST(DefUse, CallArgumentsAreWholeUses) {
       "      end\n");
   const auto& du = b.du[0];
   ASSERT_EQ(du.uses.size(), 1u);
-  EXPECT_EQ(du.uses[0].var, "x");
+  EXPECT_EQ(du.uses[0].var, b.sub.symbol("x"));
   EXPECT_EQ(du.uses[0].shape, AccessShape::kWhole);
 }
 
@@ -231,29 +231,30 @@ TEST(DefUse, TesttGatherScatterShapes) {
   // Find "vm = old(s1) + old(s2) + old(s3)".
   const StmtDefUse* vm_stmt = nullptr;
   for (const auto& d : du) {
-    if (d.def && d.def->var == "vm" && uses_var(d, "old")) {
+    if (d.def && d.def->var == sub.symbol("vm") &&
+        uses_var(d, sub.symbol("old"))) {
       vm_stmt = &d;
       break;
     }
   }
   ASSERT_NE(vm_stmt, nullptr);
   for (const auto& u : vm_stmt->uses) {
-    if (u.var == "old") {
+    if (u.var == sub.symbol("old")) {
       EXPECT_EQ(u.shape, AccessShape::kIndirect);
     }
   }
   // Find "new(s1) = new(s1) + vm/airesom(s1)".
   const StmtDefUse* scatter = nullptr;
   for (const auto& d : du) {
-    if (d.def && d.def->var == "new" &&
+    if (d.def && d.def->var == sub.symbol("new") &&
         d.def->shape == AccessShape::kIndirect) {
       scatter = &d;
       break;
     }
   }
   ASSERT_NE(scatter, nullptr);
-  EXPECT_TRUE(uses_var(*scatter, "vm"));
-  EXPECT_TRUE(uses_var(*scatter, "airesom"));
+  EXPECT_TRUE(uses_var(*scatter, sub.symbol("vm")));
+  EXPECT_TRUE(uses_var(*scatter, sub.symbol("airesom")));
 }
 
 }  // namespace

@@ -29,11 +29,14 @@ Built build(std::string_view src) {
   return {std::move(sub), std::move(cfg), std::move(du), std::move(dg)};
 }
 
-const Dependence* find_dep(const DepGraph& dg, DepKind kind,
+/// The dependence of `kind` from `src` to `dst` on the variable named
+/// `var` ("" for control), or nullptr.
+const Dependence* find_dep(const Built& b, DepKind kind,
                            const lang::Stmt* src, const lang::Stmt* dst,
-                           const std::string& var) {
-  for (const auto& d : dg.all())
-    if (d.kind == kind && d.src == src && d.dst == dst && d.var == var)
+                           std::string_view var) {
+  const int sym = var.empty() ? -1 : b.sub.symbol(var);
+  for (const auto& d : b.dg.all())
+    if (d.kind == kind && d.src == src && d.dst == dst && d.var == sym)
       return &d;
   return nullptr;
 }
@@ -46,11 +49,11 @@ TEST(DepGraph, TrueDependence) {
       "      b = x\n"
       "      end\n");
   const auto& s = b.cfg.statements();
-  const Dependence* d = find_dep(b.dg, DepKind::kTrue, s[0], s[1], "x");
+  const Dependence* d = find_dep(b, DepKind::kTrue, s[0], s[1], "x");
   ASSERT_NE(d, nullptr);
   EXPECT_FALSE(d->is_carried());
   // Parameter flow: entry (nullptr src) -> first statement.
-  EXPECT_NE(find_dep(b.dg, DepKind::kTrue, nullptr, s[0], "a"), nullptr);
+  EXPECT_NE(find_dep(b, DepKind::kTrue, nullptr, s[0], "a"), nullptr);
 }
 
 TEST(DepGraph, AntiDependence) {
@@ -61,7 +64,7 @@ TEST(DepGraph, AntiDependence) {
       "      x = a\n"
       "      end\n");
   const auto& s = b.cfg.statements();
-  EXPECT_NE(find_dep(b.dg, DepKind::kAnti, s[0], s[1], "x"), nullptr);
+  EXPECT_NE(find_dep(b, DepKind::kAnti, s[0], s[1], "x"), nullptr);
 }
 
 TEST(DepGraph, OutputDependence) {
@@ -72,7 +75,7 @@ TEST(DepGraph, OutputDependence) {
       "      x = 2.0\n"
       "      end\n");
   const auto& s = b.cfg.statements();
-  EXPECT_NE(find_dep(b.dg, DepKind::kOutput, s[0], s[1], "x"), nullptr);
+  EXPECT_NE(find_dep(b, DepKind::kOutput, s[0], s[1], "x"), nullptr);
 }
 
 TEST(DepGraph, ControlDependence) {
@@ -86,9 +89,9 @@ TEST(DepGraph, ControlDependence) {
       "      end\n");
   const auto& s = b.cfg.statements();
   // The guarded statement is control-dependent on the if.
-  EXPECT_NE(find_dep(b.dg, DepKind::kControl, s[0], s[1], ""), nullptr);
+  EXPECT_NE(find_dep(b, DepKind::kControl, s[0], s[1], ""), nullptr);
   // The statement after the if is not.
-  EXPECT_EQ(find_dep(b.dg, DepKind::kControl, s[0], s[2], ""), nullptr);
+  EXPECT_EQ(find_dep(b, DepKind::kControl, s[0], s[2], ""), nullptr);
 }
 
 TEST(DepGraph, LoopControlsItsBody) {
@@ -103,7 +106,7 @@ TEST(DepGraph, LoopControlsItsBody) {
   const auto& s = b.cfg.statements();
   // The DO header has two successors (body, after-loop), so the body is
   // control-dependent on it.
-  EXPECT_NE(find_dep(b.dg, DepKind::kControl, s[0], s[1], ""), nullptr);
+  EXPECT_NE(find_dep(b, DepKind::kControl, s[0], s[1], ""), nullptr);
 }
 
 TEST(DepGraph, ElementwiseLoopHasNoCarriedDeps) {
@@ -133,7 +136,7 @@ TEST(DepGraph, ScalarAccumulationIsCarried) {
   const auto& s = b.cfg.statements();
   const lang::Stmt* loop = s[1];
   const lang::Stmt* red = s[2];
-  const Dependence* d = find_dep(b.dg, DepKind::kTrue, red, red, "s");
+  const Dependence* d = find_dep(b, DepKind::kTrue, red, red, "s");
   ASSERT_NE(d, nullptr);
   ASSERT_EQ(d->carried_by.size(), 1u);
   EXPECT_EQ(d->carried_by[0], loop);
@@ -152,12 +155,12 @@ TEST(DepGraph, PrivatizableTempIsNotCarried) {
   const auto& s = b.cfg.statements();
   const lang::Stmt* def_t = s[1];
   const lang::Stmt* use_t = s[2];
-  const Dependence* d = find_dep(b.dg, DepKind::kTrue, def_t, use_t, "t");
+  const Dependence* d = find_dep(b, DepKind::kTrue, def_t, use_t, "t");
   ASSERT_NE(d, nullptr);
   // The def is killed at the top of every iteration before the use.
   EXPECT_FALSE(d->is_carried());
   // But the anti dependence use->def wraps around the iteration.
-  const Dependence* anti = find_dep(b.dg, DepKind::kAnti, use_t, def_t, "t");
+  const Dependence* anti = find_dep(b, DepKind::kAnti, use_t, def_t, "t");
   ASSERT_NE(anti, nullptr);
   EXPECT_TRUE(anti->is_carried());
 }
@@ -175,7 +178,7 @@ TEST(DepGraph, IndirectScatterIsCarried) {
   const auto& s = b.cfg.statements();
   const lang::Stmt* loop = s[0];
   const lang::Stmt* upd = s[1];
-  const Dependence* d = find_dep(b.dg, DepKind::kTrue, upd, upd, "x");
+  const Dependence* d = find_dep(b, DepKind::kTrue, upd, upd, "x");
   ASSERT_NE(d, nullptr);
   ASSERT_EQ(d->carried_by.size(), 1u);
   EXPECT_EQ(d->carried_by[0], loop);
@@ -198,8 +201,8 @@ TEST(DepGraph, ShiftedAccessDirectionSuppressesBackwardTrueDep) {
   const lang::Stmt* loop = s[0];
   const lang::Stmt* write_a = s[1];
   const lang::Stmt* read_a = s[2];
-  EXPECT_EQ(find_dep(b.dg, DepKind::kTrue, write_a, read_a, "a"), nullptr);
-  const Dependence* anti = find_dep(b.dg, DepKind::kAnti, read_a, write_a, "a");
+  EXPECT_EQ(find_dep(b, DepKind::kTrue, write_a, read_a, "a"), nullptr);
+  const Dependence* anti = find_dep(b, DepKind::kAnti, read_a, write_a, "a");
   ASSERT_NE(anti, nullptr);
   ASSERT_EQ(anti->carried_by.size(), 1u);
   EXPECT_EQ(anti->carried_by[0], loop);
@@ -221,10 +224,10 @@ TEST(DepGraph, ShiftedAccessForwardTrueDepIsCarried) {
   const auto& s = b.cfg.statements();
   const lang::Stmt* write_a = s[1];
   const lang::Stmt* read_a = s[2];
-  const Dependence* d = find_dep(b.dg, DepKind::kTrue, write_a, read_a, "a");
+  const Dependence* d = find_dep(b, DepKind::kTrue, write_a, read_a, "a");
   ASSERT_NE(d, nullptr);
   EXPECT_TRUE(d->is_carried());
-  EXPECT_EQ(find_dep(b.dg, DepKind::kAnti, read_a, write_a, "a"), nullptr);
+  EXPECT_EQ(find_dep(b, DepKind::kAnti, read_a, write_a, "a"), nullptr);
 }
 
 TEST(DepGraph, EqualShiftsAreLoopIndependent) {
@@ -239,7 +242,7 @@ TEST(DepGraph, EqualShiftsAreLoopIndependent) {
       "      end\n");
   const auto& s = b.cfg.statements();
   const Dependence* d =
-      find_dep(b.dg, DepKind::kTrue, s[1], s[2], "a");
+      find_dep(b, DepKind::kTrue, s[1], s[2], "a");
   ASSERT_NE(d, nullptr);
   EXPECT_FALSE(d->is_carried());
 }
@@ -259,9 +262,10 @@ TEST(DepGraph, TesttScatterLoopCarriesOnlyAllowedDeps) {
   // Every dependence carried by the triangle loop involves either the
   // assembled array NEW or the privatizable temps s1..s3, vm.
   for (const Dependence* d : dg.carried_by(*tri_loop)) {
-    bool expected = d->var == "new" || d->var == "s1" || d->var == "s2" ||
-                    d->var == "s3" || d->var == "vm";
-    EXPECT_TRUE(expected) << to_string(d->kind) << " dep on " << d->var;
+    const std::string& var = sub.symbols[d->var];
+    bool expected = var == "new" || var == "s1" || var == "s2" ||
+                    var == "s3" || var == "vm";
+    EXPECT_TRUE(expected) << to_string(d->kind) << " dep on " << var;
   }
 }
 
@@ -277,11 +281,11 @@ TEST(DepGraph, AntiDependenceAcrossGotoBackEdgeOnly) {
       "      if (b .lt. eps) goto 100\n"
       "      end\n");
   const auto& s = b.cfg.statements();
-  const Dependence* anti = find_dep(b.dg, DepKind::kAnti, s[1], s[0], "x");
+  const Dependence* anti = find_dep(b, DepKind::kAnti, s[1], s[0], "x");
   ASSERT_NE(anti, nullptr);
   EXPECT_FALSE(anti->is_carried());  // no DO loop encloses the GOTO cycle
   // The same flow gives b's read its anti dependence on b's own write.
-  EXPECT_NE(find_dep(b.dg, DepKind::kAnti, s[1], s[1], "b"), nullptr);
+  EXPECT_NE(find_dep(b, DepKind::kAnti, s[1], s[1], "b"), nullptr);
 }
 
 TEST(DepGraph, StrongScalarRedefinitionKillsExposedUse) {
@@ -293,10 +297,10 @@ TEST(DepGraph, StrongScalarRedefinitionKillsExposedUse) {
       "      x = c\n"
       "      end\n");
   const auto& s = b.cfg.statements();
-  EXPECT_NE(find_dep(b.dg, DepKind::kAnti, s[0], s[1], "x"), nullptr);
+  EXPECT_NE(find_dep(b, DepKind::kAnti, s[0], s[1], "x"), nullptr);
   // The scalar write x = a kills the exposed read of x: nothing past it
   // is anti-dependent on that read.
-  EXPECT_EQ(find_dep(b.dg, DepKind::kAnti, s[0], s[2], "x"), nullptr);
+  EXPECT_EQ(find_dep(b, DepKind::kAnti, s[0], s[2], "x"), nullptr);
 }
 
 TEST(DepGraph, TwoReadsOfOneArrayGiveOneAntiDependence) {
@@ -318,18 +322,19 @@ TEST(DepGraph, TwoReadsOfOneArrayGiveOneAntiDependence) {
   int count = 0;
   for (const auto& d : b.dg.all())
     if (d.kind == DepKind::kAnti && d.src == s[1] && d.dst == s[2] &&
-        d.var == "a")
+        d.var == b.sub.symbol("a"))
       ++count;
   EXPECT_EQ(count, 1);
-  const Dependence* anti = find_dep(b.dg, DepKind::kAnti, s[1], s[2], "a");
+  const Dependence* anti = find_dep(b, DepKind::kAnti, s[1], s[2], "a");
   ASSERT_NE(anti, nullptr);
   ASSERT_EQ(anti->carried_by.size(), 1u);
   EXPECT_EQ(anti->carried_by[0], loop);
 }
 
-/// FNV-1a over the ordered list: (kind, var, src id, dst id, carried_by
-/// ids) per dependence, with -1 for the entry and exit endpoints.
-std::uint64_t hash_deps(const DepGraph& dg) {
+/// FNV-1a over the ordered list: (kind, var name, src id, dst id,
+/// carried_by ids) per dependence, with -1 for the entry and exit endpoints
+/// and an empty name for control.
+std::uint64_t hash_deps(const lang::Subroutine& sub, const DepGraph& dg) {
   std::uint64_t h = 14695981039346656037ull;
   auto feed = [&](const std::string& field) {
     for (unsigned char c : field) {
@@ -341,7 +346,7 @@ std::uint64_t hash_deps(const DepGraph& dg) {
   };
   for (const Dependence& d : dg.all()) {
     feed(to_string(d.kind));
-    feed(d.var);
+    feed(d.var < 0 ? "" : sub.symbols[d.var]);
     feed(std::to_string(d.src ? d.src->id : -1));
     feed(std::to_string(d.dst ? d.dst->id : -1));
     std::string carried;
@@ -372,7 +377,7 @@ TEST(DepGraph, SyntheticDependenceListIsPinned) {
     SCOPED_TRACE(pin.stages);
     auto b = build(lang::synthetic_source(pin.stages));
     EXPECT_EQ(b.dg.all().size(), pin.count);
-    EXPECT_EQ(hash_deps(b.dg), pin.hash);
+    EXPECT_EQ(hash_deps(b.sub, b.dg), pin.hash);
   }
 }
 

@@ -39,11 +39,11 @@ TEST(Patterns, SumReduction) {
       "      end\n");
   ASSERT_EQ(b.pats.reductions().size(), 1u);
   const Reduction& r = b.pats.reductions()[0];
-  EXPECT_EQ(r.var, "s");
+  EXPECT_EQ(r.var, b.sub.symbol("s"));
   EXPECT_EQ(r.op, lang::BinOp::kAdd);
   EXPECT_EQ(r.loop, b.cfg.statements()[1]);
-  EXPECT_TRUE(b.pats.is_reduction_var(*r.loop, "s"));
-  EXPECT_FALSE(b.pats.is_reduction_var(*r.loop, "x"));
+  EXPECT_TRUE(b.pats.is_reduction_var(*r.loop, b.sub.symbol("s")));
+  EXPECT_FALSE(b.pats.is_reduction_var(*r.loop, b.sub.symbol("x")));
 }
 
 TEST(Patterns, ProductReduction) {
@@ -74,7 +74,7 @@ TEST(Patterns, InductionNotReduction) {
       "      end\n");
   EXPECT_TRUE(b.pats.reductions().empty());
   ASSERT_EQ(b.pats.inductions().size(), 1u);
-  EXPECT_EQ(b.pats.inductions()[0].var, "k");
+  EXPECT_EQ(b.pats.inductions()[0].var, b.sub.symbol("k"));
 }
 
 TEST(Patterns, AccumulatingLoopInvariantScalarIsInduction) {
@@ -119,7 +119,7 @@ TEST(Patterns, ArrayAssembly) {
       "      end do\n"
       "      end\n");
   ASSERT_EQ(b.pats.assemblies().size(), 1u);
-  EXPECT_EQ(b.pats.assemblies()[0].var, "x");
+  EXPECT_EQ(b.pats.assemblies()[0].var, b.sub.symbol("x"));
   EXPECT_EQ(b.pats.assemblies()[0].op, lang::BinOp::kAdd);
 }
 
@@ -148,7 +148,7 @@ TEST(Patterns, LocalizableTemp) {
       "      end do\n"
       "      end\n");
   const lang::Stmt* loop = b.cfg.statements()[0];
-  EXPECT_TRUE(b.pats.is_localizable(*loop, "t"));
+  EXPECT_TRUE(b.pats.is_localizable(*loop, b.sub.symbol("t")));
 }
 
 TEST(Patterns, UpwardExposedTempNotLocalizable) {
@@ -163,7 +163,7 @@ TEST(Patterns, UpwardExposedTempNotLocalizable) {
       "      end do\n"
       "      end\n");
   const lang::Stmt* loop = b.cfg.statements()[1];
-  EXPECT_FALSE(b.pats.is_localizable(*loop, "t"));
+  EXPECT_FALSE(b.pats.is_localizable(*loop, b.sub.symbol("t")));
 }
 
 TEST(Patterns, LiveOutTempNotLocalizable) {
@@ -177,7 +177,7 @@ TEST(Patterns, LiveOutTempNotLocalizable) {
       "      a = t\n"
       "      end\n");
   const lang::Stmt* loop = b.cfg.statements()[0];
-  EXPECT_FALSE(b.pats.is_localizable(*loop, "t"));
+  EXPECT_FALSE(b.pats.is_localizable(*loop, b.sub.symbol("t")));
 }
 
 TEST(Patterns, ParameterNotLocalizable) {
@@ -191,7 +191,7 @@ TEST(Patterns, ParameterNotLocalizable) {
       "      end do\n"
       "      end\n");
   const lang::Stmt* loop = b.cfg.statements()[0];
-  EXPECT_FALSE(b.pats.is_localizable(*loop, "t"));
+  EXPECT_FALSE(b.pats.is_localizable(*loop, b.sub.symbol("t")));
 }
 
 TEST(Patterns, TesttFullDetection) {
@@ -204,9 +204,9 @@ TEST(Patterns, TesttFullDetection) {
   // sqrdiff is the only scalar reduction; NEW is assembled in the triangle
   // loop with three assembly statements.
   ASSERT_EQ(pats.reductions().size(), 1u);
-  EXPECT_EQ(pats.reductions()[0].var, "sqrdiff");
+  EXPECT_EQ(pats.reductions()[0].var, sub.symbol("sqrdiff"));
   EXPECT_EQ(pats.assemblies().size(), 3u);
-  for (const auto& a : pats.assemblies()) EXPECT_EQ(a.var, "new");
+  for (const auto& a : pats.assemblies()) EXPECT_EQ(a.var, sub.symbol("new"));
 
   // The triangle loop localizes s1, s2, s3, vm.
   const lang::Stmt* tri_loop = nullptr;
@@ -221,15 +221,12 @@ TEST(Patterns, TesttFullDetection) {
   }
   ASSERT_NE(tri_loop, nullptr);
   ASSERT_NE(diff_loop, nullptr);
-  auto loc = pats.localizable_in(*tri_loop);
-  EXPECT_TRUE(loc.count("s1"));
-  EXPECT_TRUE(loc.count("s2"));
-  EXPECT_TRUE(loc.count("s3"));
-  EXPECT_TRUE(loc.count("vm"));
-  EXPECT_FALSE(loc.count("new"));
+  for (const char* name : {"s1", "s2", "s3", "vm"})
+    EXPECT_TRUE(pats.is_localizable(*tri_loop, sub.symbol(name))) << name;
+  EXPECT_FALSE(pats.is_localizable(*tri_loop, sub.symbol("new")));
   // diff is localizable in the difference loop, sqrdiff is not.
-  EXPECT_TRUE(pats.is_localizable(*diff_loop, "diff"));
-  EXPECT_FALSE(pats.is_localizable(*diff_loop, "sqrdiff"));
+  EXPECT_TRUE(pats.is_localizable(*diff_loop, sub.symbol("diff")));
+  EXPECT_FALSE(pats.is_localizable(*diff_loop, sub.symbol("sqrdiff")));
 }
 
 }  // namespace

@@ -32,10 +32,10 @@ TEST(Reaching, ParameterEntryDefsReachFirstUse) {
       "      real a,b\n"
       "      a = b\n"
       "      end\n");
-  auto ids = b.rd.reaching(*b.cfg.statements()[0], "b");
+  auto ids = b.rd.reaching(*b.cfg.statements()[0], b.sub.symbol("b"));
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_TRUE(b.rd.definitions()[ids[0]].is_entry());
-  EXPECT_EQ(b.rd.entry_def("b"), ids[0]);
+  EXPECT_EQ(b.rd.entry_def(b.sub.symbol("b")), ids[0]);
 }
 
 TEST(Reaching, ScalarKill) {
@@ -47,7 +47,7 @@ TEST(Reaching, ScalarKill) {
       "      a = x\n"
       "      end\n");
   const auto& s = b.cfg.statements();
-  auto ids = b.rd.reaching(*s[2], "x");
+  auto ids = b.rd.reaching(*s[2], b.sub.symbol("x"));
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(b.rd.definitions()[ids[0]].stmt, s[1]);  // only the second def
 }
@@ -64,7 +64,7 @@ TEST(Reaching, BranchMerges) {
       "      a = x\n"
       "      end\n");
   const auto& s = b.cfg.statements();
-  auto ids = b.rd.reaching(*s[3], "x");
+  auto ids = b.rd.reaching(*s[3], b.sub.symbol("x"));
   EXPECT_EQ(ids.size(), 2u);
 }
 
@@ -83,7 +83,7 @@ TEST(Reaching, ArrayMayDefsAccumulate) {
       "      end\n");
   const auto& s = b.cfg.statements();
   // Both loop stores reach the final read: array defs never kill.
-  auto ids = b.rd.reaching(*s[4], "x");
+  auto ids = b.rd.reaching(*s[4], b.sub.symbol("x"));
   EXPECT_EQ(ids.size(), 2u);
 }
 
@@ -99,7 +99,7 @@ TEST(Reaching, LoopCarriedScalarReachesSelf) {
       "      end\n");
   const auto& s = b.cfg.statements();
   const lang::Stmt* red = s[2];
-  auto ids = b.rd.reaching(*red, "s");
+  auto ids = b.rd.reaching(*red, b.sub.symbol("s"));
   // Both the initialization and the accumulation itself reach the use.
   EXPECT_EQ(ids.size(), 2u);
 }
@@ -110,7 +110,7 @@ TEST(Reaching, ReachingExit) {
       "      real a\n"
       "      a = 1.0\n"
       "      end\n");
-  auto ids = b.rd.reaching_exit("a");
+  auto ids = b.rd.reaching_exit(b.sub.symbol("a"));
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_FALSE(b.rd.definitions()[ids[0]].is_entry());
 }
@@ -126,8 +126,8 @@ TEST(Reaching, DefAtAndDefsOf) {
   EXPECT_GE(b.rd.def_at(*s[0]), 0);
   EXPECT_GE(b.rd.def_at(*s[1]), 0);
   EXPECT_NE(b.rd.def_at(*s[0]), b.rd.def_at(*s[1]));
-  EXPECT_EQ(b.rd.defs_of("x").size(), 2u);
-  EXPECT_EQ(b.rd.defs_of("a").size(), 1u);  // entry def only
+  EXPECT_EQ(b.rd.defs_of(b.sub.symbol("x")).size(), 2u);
+  EXPECT_EQ(b.rd.defs_of(b.sub.symbol("a")).size(), 1u);  // entry def only
 }
 
 TEST(Reaching, TesttOldReachedByInitAndCopy) {
@@ -143,7 +143,7 @@ TEST(Reaching, TesttOldReachedByInitAndCopy) {
         s->lhs->name == "vm" && lang::expr_reads(*s->rhs, "old"))
       gather = s;
   ASSERT_NE(gather, nullptr);
-  auto ids = rd.reaching(*gather, "old");
+  auto ids = rd.reaching(*gather, sub.symbol("old"));
   // old(i)=init(i) and old(i)=new(i), both array may-defs.
   EXPECT_EQ(ids.size(), 2u);
   for (int id : ids) EXPECT_TRUE(rd.definitions()[id].may);

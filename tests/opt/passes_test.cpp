@@ -67,7 +67,8 @@ const SyncPoint& first_sync(const Placement& p, CommAction action) {
 /// A partitioned loop that elementwise-overwrites `var` without reading it
 /// — an update placed right before it is provably dead (MP-L003).
 const lang::Stmt* killer_loop(const placement::ProgramModel& model,
-                              const std::string& var) {
+                              const std::string& name) {
+  const int var = model.sub().symbol(name);
   for (const lang::Stmt* s : model.cfg().statements()) {
     const auto& du = model.defuse(*s);
     if (!du.def || du.def->var != var ||
@@ -88,7 +89,8 @@ const lang::Stmt* killer_loop(const placement::ProgramModel& model,
 const lang::Stmt* testt_preheader(const placement::ProgramModel& model) {
   for (const lang::Stmt* s : model.cfg().statements()) {
     const auto& du = model.defuse(*s);
-    if (du.def && du.def->var == "loop" && du.uses.empty()) return s;
+    if (du.def && du.def->var == model.sub().symbol("loop") && du.uses.empty())
+      return s;
   }
   return nullptr;
 }

@@ -22,8 +22,8 @@ TEST(Coupled, AnalysisRecognizesBothFields) {
   ASSERT_NE(model, nullptr) << diags.str();
   int ru_asm = 0, rv_asm = 0;
   for (const auto& a : model->patterns().assemblies()) {
-    if (a.var == "ru") ++ru_asm;
-    if (a.var == "rv") ++rv_asm;
+    if (a.var == model->sub().symbol("ru")) ++ru_asm;
+    if (a.var == model->sub().symbol("rv")) ++rv_asm;
   }
   EXPECT_EQ(ru_asm, 3);
   EXPECT_EQ(rv_asm, 3);

@@ -422,7 +422,8 @@ TEST(MaterializeCache, ReportsFailureReason) {
       if (b.engine->transition_for(broken, a)) continue;
       corrupted = true;
       EXPECT_FALSE(materialize(*b.engine, broken, &failure).has_value());
-      EXPECT_EQ(failure, MaterializeFailure::kNoTransition) << dst.describe();
+      EXPECT_EQ(failure, MaterializeFailure::kNoTransition)
+          << dst.describe(m.sub());
     }
     if (corrupted) break;
   }
@@ -434,7 +435,8 @@ TEST(MaterializeCache, ReportsFailureReason) {
   for (const lang::Stmt* s : m.cfg().statements()) {
     const lang::Stmt* loop = m.enclosing_partitioned(*s);
     const dfg::StmtDefUse& du = m.defuse(*s);
-    if (loop && du.def && du.def->var == "new" && fg.write_occ(*s) >= 0)
+    if (loop && du.def && du.def->var == m.sub().symbol("new") &&
+        fg.write_occ(*s) >= 0)
       writes_of_new[loop].push_back(fg.write_occ(*s));
   }
   bool conflicted = false;

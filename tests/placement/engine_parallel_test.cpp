@@ -197,7 +197,8 @@ TEST(TransitionFor, SameLoopUpdateIsNeverReported) {
   // single partitioned loop.
   const FlowArrow* xarrow = nullptr;
   for (const FlowArrow& a : b.fg->arrows()) {
-    if (a.kind != ArrowKind::kTrue || a.var != "x") continue;
+    if (a.kind != ArrowKind::kTrue || a.var != b.model->sub().symbol("x"))
+      continue;
     const Occurrence& s = b.fg->occ(a.src);
     const Occurrence& d = b.fg->occ(a.dst);
     if (s.stmt && d.stmt &&
@@ -273,7 +274,8 @@ TEST(TransitionFor, ScalarWeakeningOutsideAccumulatorIsNeverReported) {
   // reduction accumulator's self-read.
   const FlowArrow* sarrow = nullptr;
   for (const FlowArrow& a : b.fg->arrows())
-    if (a.kind == ArrowKind::kTrue && a.var == "s" && !a.into_accumulator)
+    if (a.kind == ArrowKind::kTrue && a.var == b.model->sub().symbol("s") &&
+        !a.into_accumulator)
       sarrow = &a;
   ASSERT_NE(sarrow, nullptr);
 

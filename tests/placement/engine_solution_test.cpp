@@ -267,7 +267,7 @@ TEST(Placement, CorruptedAssignmentFailsSimulationCheck) {
   ASSERT_FALSE(r.placements.empty());
   Assignment bad = r.placements.front().assignment;
   // Force the RESULT output to the incoherent node state.
-  int out = c.fg->output_occ("result");
+  int out = c.fg->output_occ(c.model->sub().symbol("result"));
   ASSERT_GE(out, 0);
   bad.state_of[out] = *c.model->autom().find_state("Nod1");
   SimulationResult sim = simulate_check(*c.model, *c.fg, bad);

@@ -171,7 +171,7 @@ TEST(EdgeFlux, SubtractiveAssemblyIsRecognized) {
   // Both rhs(s1) += f and rhs(s2) -= f are additive assemblies.
   int rhs_assemblies = 0;
   for (const auto& a : model->patterns().assemblies())
-    if (a.var == "rhs") ++rhs_assemblies;
+    if (a.var == model->sub().symbol("rhs")) ++rhs_assemblies;
   EXPECT_EQ(rhs_assemblies, 2);
   EXPECT_TRUE(check_applicability(*model).ok());
 }

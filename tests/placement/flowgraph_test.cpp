@@ -26,6 +26,11 @@ Built build_testt() {
   return {std::move(m), std::move(fg)};
 }
 
+/// The symbol of variable `name` in the model.
+int sym(const Built& b, std::string_view name) {
+  return b.model->sub().symbol(name);
+}
+
 const lang::Stmt* find_assign(const ProgramModel& m, const std::string& lhs,
                               int skip = 0) {
   for (const lang::Stmt* s : m.cfg().statements()) {
@@ -41,22 +46,22 @@ TEST(FlowGraph, TesttHasExpectedOccurrences) {
   // 9 inputs + 1 output + writes/reads/predicates.
   EXPECT_GT(b.fg.occs().size(), 60u);
   EXPECT_GT(b.fg.arrows().size(), 100u);
-  EXPECT_GE(b.fg.input_occ("init"), 0);
-  EXPECT_GE(b.fg.input_occ("epsilon"), 0);
-  EXPECT_GE(b.fg.output_occ("result"), 0);
-  EXPECT_EQ(b.fg.output_occ("old"), -1);
+  EXPECT_GE(b.fg.input_occ(sym(b, "init")), 0);
+  EXPECT_GE(b.fg.input_occ(sym(b, "epsilon")), 0);
+  EXPECT_GE(b.fg.output_occ(sym(b, "result")), 0);
+  EXPECT_EQ(b.fg.output_occ(sym(b, "old")), -1);
 }
 
 TEST(FlowGraph, InputAndOutputStatesFixed) {
   auto b = build_testt();
   const auto& autom = b.model->autom();
-  const Occurrence& init = b.fg.occ(b.fg.input_occ("init"));
+  const Occurrence& init = b.fg.occ(b.fg.input_occ(sym(b, "init")));
   ASSERT_TRUE(init.fixed_state.has_value());
   EXPECT_EQ(autom.state(*init.fixed_state).name, "Nod0");
-  const Occurrence& eps = b.fg.occ(b.fg.input_occ("epsilon"));
+  const Occurrence& eps = b.fg.occ(b.fg.input_occ(sym(b, "epsilon")));
   ASSERT_TRUE(eps.fixed_state.has_value());
   EXPECT_EQ(autom.state(*eps.fixed_state).name, "Sca0");
-  const Occurrence& result = b.fg.occ(b.fg.output_occ("result"));
+  const Occurrence& result = b.fg.occ(b.fg.output_occ(sym(b, "result")));
   ASSERT_TRUE(result.fixed_state.has_value());
   EXPECT_EQ(autom.state(*result.fixed_state).name, "Nod0");
 }
@@ -65,7 +70,7 @@ TEST(FlowGraph, GatherArrowOnIndirectionRead) {
   auto b = build_testt();
   const lang::Stmt* vm = find_assign(*b.model, "vm");
   ASSERT_NE(vm, nullptr);
-  int read_old = b.fg.read_occ(*vm, "old");
+  int read_old = b.fg.read_occ(*vm, sym(b, "old"));
   ASSERT_GE(read_old, 0);
   EXPECT_EQ(b.fg.occ(read_old).shape, EntityKind::kNode);
   // The value arrow old-read -> vm-write is a gather.
@@ -74,7 +79,7 @@ TEST(FlowGraph, GatherArrowOnIndirectionRead) {
     const FlowArrow& a = b.fg.arrows()[aid];
     if (a.kind == ArrowKind::kValue) {
       EXPECT_EQ(a.vclass, ValueClass::kGather);
-      EXPECT_EQ(b.fg.occ(a.dst).var, "vm");
+      EXPECT_EQ(b.fg.occ(a.dst).var, sym(b, "vm"));
       found = true;
     }
   }
@@ -87,9 +92,9 @@ TEST(FlowGraph, ScatterAndAccumulateArrowsOnAssembly) {
   ASSERT_NE(scatter, nullptr);
   ASSERT_EQ(scatter->lhs->kind, lang::ExprKind::kArrayRef);
 
-  int read_vm = b.fg.read_occ(*scatter, "vm");
-  int read_new = b.fg.read_occ(*scatter, "new");
-  int read_airesom = b.fg.read_occ(*scatter, "airesom");
+  int read_vm = b.fg.read_occ(*scatter, sym(b, "vm"));
+  int read_new = b.fg.read_occ(*scatter, sym(b, "new"));
+  int read_airesom = b.fg.read_occ(*scatter, sym(b, "airesom"));
   ASSERT_GE(read_vm, 0);
   ASSERT_GE(read_new, 0);
   ASSERT_GE(read_airesom, 0);
@@ -110,8 +115,8 @@ TEST(FlowGraph, ReductionArrows) {
   auto b = build_testt();
   const lang::Stmt* red = find_assign(*b.model, "sqrdiff", /*skip=*/1);
   ASSERT_NE(red, nullptr);
-  int read_diff = b.fg.read_occ(*red, "diff");
-  int read_self = b.fg.read_occ(*red, "sqrdiff");
+  int read_diff = b.fg.read_occ(*red, sym(b, "diff"));
+  int read_self = b.fg.read_occ(*red, sym(b, "sqrdiff"));
   ASSERT_GE(read_diff, 0);
   ASSERT_GE(read_self, 0);
   auto vclass_of = [&](int occ) {
@@ -130,8 +135,8 @@ TEST(FlowGraph, LoopVariableReadsAreMachinery) {
   const lang::Stmt* diff = find_assign(*b.model, "diff");
   ASSERT_NE(diff, nullptr);
   // "diff = new(i) - old(i)" reads i, but i is loop machinery: no read occ.
-  EXPECT_EQ(b.fg.read_occ(*diff, "i"), -1);
-  EXPECT_GE(b.fg.read_occ(*diff, "new"), 0);
+  EXPECT_EQ(b.fg.read_occ(*diff, sym(b, "i")), -1);
+  EXPECT_GE(b.fg.read_occ(*diff, sym(b, "new")), 0);
 }
 
 TEST(FlowGraph, PredicateOccsForIfs) {
@@ -148,7 +153,7 @@ TEST(FlowGraph, PredicateOccsForIfs) {
 TEST(FlowGraph, TrueArrowsFollowReachingDefs) {
   auto b = build_testt();
   const lang::Stmt* vm = find_assign(*b.model, "vm");
-  int read_old = b.fg.read_occ(*vm, "old");
+  int read_old = b.fg.read_occ(*vm, sym(b, "old"));
   // OLD reaches the gather from the init copy and from the end-of-step
   // copy: two true arrows.
   int true_arrows = 0;

@@ -18,9 +18,9 @@ TEST(Spec, ParsesTesttSpec) {
   ASSERT_EQ(spec.loop_rules.size(), 2u);
   EXPECT_EQ(spec.loop_rules[0].entity, EntityKind::kNode);
   EXPECT_EQ(spec.loop_rules[1].entity, EntityKind::kTriangle);
-  EXPECT_EQ(spec.entity_of("old"), EntityKind::kNode);
-  EXPECT_EQ(spec.entity_of("som"), EntityKind::kTriangle);
-  EXPECT_FALSE(spec.entity_of("sqrdiff").has_value());
+  EXPECT_EQ(spec.arrays.at("old"), EntityKind::kNode);
+  EXPECT_EQ(spec.arrays.at("som"), EntityKind::kTriangle);
+  EXPECT_FALSE(spec.arrays.count("sqrdiff"));
   EXPECT_EQ(spec.inputs.at("init"), 0);
   EXPECT_EQ(spec.outputs.at("result"), 0);
 }
@@ -34,7 +34,7 @@ TEST(Spec, CommentsAndBlankLines) {
       "array x nodes  # trailing comment\n",
       diags);
   EXPECT_FALSE(diags.has_errors()) << diags.str();
-  EXPECT_EQ(spec.entity_of("x"), EntityKind::kNode);
+  EXPECT_EQ(spec.arrays.at("x"), EntityKind::kNode);
 }
 
 TEST(Spec, MissingPatternIsError) {

@@ -94,7 +94,7 @@ TEST(Verify, TamperedOutputStateIsBoundaryMismatch) {
   const EnumerationResult& r = testt_placements();
   ASSERT_FALSE(r.placements.empty());
   Placement bad = r.placements.front();
-  int out = c.fg->output_occ("result");
+  int out = c.fg->output_occ(c.model->sub().symbol("result"));
   ASSERT_GE(out, 0);
   auto nod1 = c.model->autom().find_state("Nod1");
   ASSERT_TRUE(nod1.has_value());
