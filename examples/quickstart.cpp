@@ -27,7 +27,7 @@ int main() {
     if (f.verdict == placement::Verdict::kForbidden) {
       ++forbidden;
       std::cout << "  FORBIDDEN case " << to_string(f.fig4) << ": "
-                << f.message << "\n";
+                << render(f, compiled.model->sub()) << "\n";
     }
   }
   std::cout << "  " << compiled.applicability.findings.size()

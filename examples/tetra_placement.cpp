@@ -92,7 +92,8 @@ int main() {
   if (!compiled.applicability.ok()) {
     for (const auto& f : compiled.applicability.findings)
       if (f.verdict == placement::Verdict::kForbidden)
-        std::cerr << "forbidden: " << f.message << "\n";
+        std::cerr << "forbidden: " << render(f, compiled.model->sub())
+                  << "\n";
     return 1;
   }
   auto r = placement::enumerate_placements(*compiled.model, *compiled.fg);

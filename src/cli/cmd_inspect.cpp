@@ -28,7 +28,8 @@ int cmd_check(Context& ctx) {
   TextTable t({"case", "verdict", "detail"});
   for (const auto& f : c.applicability.findings) {
     if (f.verdict == placement::Verdict::kRespected) continue;  // noise
-    t.add_row({to_string(f.fig4), to_string(f.verdict), f.message});
+    t.add_row({to_string(f.fig4), to_string(f.verdict),
+               render(f, c.model->sub())});
   }
   ctx.out << t.str();
   ctx.out << (c.applicability.ok()

@@ -46,11 +46,17 @@ enum class Verdict {
   kForbidden,
 };
 
+/// One decision of the check. A dependence finding holds the dependence
+/// and a static reason; its text is built by render() only when a report
+/// is printed. Findings with no dependence (nested partitioned loops,
+/// access shapes, assembly initializations) arise only on rejected
+/// programs and carry their composed text in `detail`.
 struct Finding {
   Fig4Case fig4 = Fig4Case::kB;
   Verdict verdict = Verdict::kRespected;
-  const dfg::Dependence* dep = nullptr;  // null for access-shape findings
-  std::string message;
+  const dfg::Dependence* dep = nullptr;
+  const char* reason = "";  // string literal; set when dep is
+  std::string detail;       // set when dep is null
 };
 
 struct ApplicabilityReport {
@@ -71,6 +77,10 @@ struct ApplicabilityReport {
 
 /// Runs the full applicability check.
 ApplicabilityReport check_applicability(const ProgramModel& model);
+
+/// The finding's line, "true dep on 'x' stmt@L:C -> stmt@L:C: <reason>"
+/// for a dependence and `detail` otherwise. `sub` is the checked program.
+[[nodiscard]] std::string render(const Finding& f, const lang::Subroutine& sub);
 
 [[nodiscard]] const char* to_string(Fig4Case c);
 [[nodiscard]] const char* to_string(Verdict v);
