@@ -16,15 +16,6 @@ int cmd_lint(Context& ctx) {
   const placement::Compiled& c = *ctx.compiled;
   const service::PlacementSet& set = *ctx.placements;
   std::ostream& out = ctx.out;
-  std::ostream& err = ctx.err;
-  if (!c.applicability.ok()) {
-    err << "applicability check failed; run 'mptool check' for details\n";
-    return 1;
-  }
-  if (set.placements.empty()) {
-    err << "no placement to lint\n";
-    return 1;
-  }
   DiagnosticEngine diags;
   if (o.max_errors != 0) diags.set_max_errors(o.max_errors);
   analysis::LintOptions lopt;

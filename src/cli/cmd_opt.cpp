@@ -63,14 +63,6 @@ int cmd_opt(Context& ctx) {
   const service::PlacementSet& set = *ctx.placements;
   std::ostream& out = ctx.out;
   std::ostream& err = ctx.err;
-  if (!c.applicability.ok()) {
-    err << "applicability check failed; run 'mptool check' for details\n";
-    return 1;
-  }
-  if (set.placements.empty()) {
-    err << "no placement to optimize\n";
-    return 1;
-  }
   const std::size_t idx = o.emit >= 0 ? static_cast<std::size_t>(o.emit) : 0;
   if (idx >= set.placements.size()) {
     err << "placement #" << idx << " does not exist\n";

@@ -22,15 +22,6 @@ int cmd_place(Context& ctx) {
   const service::PlacementSet& set = *ctx.placements;
   std::ostream& out = ctx.out;
   std::ostream& err = ctx.err;
-  if (!c.applicability.ok()) {
-    err << "applicability check failed; run 'mptool check' for details\n";
-    return 1;
-  }
-  if (set.placements.empty()) {
-    err << "no placement maps this program onto the chosen overlap "
-           "automaton\n";
-    return 1;
-  }
   // Post-placement gate: no emitted placement may carry a provable
   // coherence error. Silent when clean, so clean output stays byte-stable;
   // --werror promotes the advice findings (L002..L005) into the gate.

@@ -15,14 +15,6 @@ int cmd_soak(Context& ctx) {
   const Options& o = ctx.opts;
   const placement::Compiled& c = *ctx.compiled;
   const service::PlacementSet& set = *ctx.placements;
-  if (!c.applicability.ok()) {
-    ctx.err << "applicability check failed; run 'mptool check' for details\n";
-    return 1;
-  }
-  if (set.placements.empty()) {
-    ctx.err << "no placement to soak\n";
-    return 1;
-  }
   interp::SoakOptions sopt;
   sopt.seed = o.seed;
   sopt.faults = o.faults;

@@ -54,14 +54,6 @@ int cmd_verify(Context& ctx) {
   const service::PlacementSet& set = *ctx.placements;
   std::ostream& out = ctx.out;
   std::ostream& err = ctx.err;
-  if (!c.applicability.ok()) {
-    err << "applicability check failed; run 'mptool check' for details\n";
-    return 1;
-  }
-  if (set.placements.empty()) {
-    err << "no placement to verify\n";
-    return 1;
-  }
   DiagnosticEngine diags;
   std::vector<std::size_t> clean;
   std::size_t failed = 0;

@@ -38,6 +38,19 @@ int dispatch_command(const Options& opts, const std::string& program_text,
     err << ctx.compiled->diags.str();
     return 2;
   }
+  // The one gate of the placement commands: the program must pass the
+  // applicability check, and the search must have found a placement.
+  if (spec->needs == Needs::kPlacements) {
+    if (!ctx.compiled->applicability.ok()) {
+      err << "applicability check failed; run 'mptool check' for details\n";
+      return 1;
+    }
+    if (ctx.placements->placements.empty()) {
+      err << "no placement maps this program onto the chosen overlap "
+             "automaton\n";
+      return 1;
+    }
+  }
   return spec->handler(ctx);
 }
 

@@ -24,9 +24,10 @@ int cmd_batch(Context& ctx);      // cmd_batch.cpp
 
 /// Runs one parsed invocation end to end against `service`: fetches what
 /// the command needs (compile-only or compile + enumerate, both cached),
-/// reports build errors with exit 2, and calls the handler. Shared by
-/// run_driver and the batch executor, which is how a batch entry and a
-/// direct invocation can never disagree.
+/// reports build errors with exit 2, exits 1 for a placement command on a
+/// rejected program or an empty placement set, and calls the handler.
+/// Shared by run_driver and the batch executor, which is how a batch entry
+/// and a direct invocation can never disagree.
 int dispatch_command(const Options& opts, const std::string& program_text,
                      const std::string& spec_text, service::Service& service,
                      std::ostream& out, std::ostream& err);

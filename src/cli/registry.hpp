@@ -54,7 +54,8 @@ struct Context {
   /// Set for Needs::kFrontEnd and up; model is non-null (build errors exit
   /// 2 before any handler runs).
   std::shared_ptr<const placement::Compiled> compiled;
-  /// Set for Needs::kPlacements.
+  /// Set for Needs::kPlacements; the program passed the applicability
+  /// check and the set is non-empty (dispatch_command exits 1 otherwise).
   std::shared_ptr<const service::PlacementSet> placements;
   std::ostream& out;
   std::ostream& err;
