@@ -22,13 +22,23 @@ struct Case {
   bool expect_ok;
 };
 
-constexpr const char* kSpecNodes =
+// A spec may name only the program's own variables and loops, so each
+// shape of mini-program gets its own.
+constexpr const char* kSpecX =
     "pattern overlap-triangle-layer\n"
     "loopvar i over nsom partition nodes\n"
+    "array x nodes\ninput x coherent\ninput nsom replicated\n";
+constexpr const char* kSpecXY =
+    "pattern overlap-triangle-layer\n"
+    "loopvar i over nsom partition nodes\n"
+    "array x nodes\narray y nodes\ninput x coherent\ninput nsom replicated\n";
+constexpr const char* kSpecAssembly =
+    "pattern overlap-triangle-layer\n"
     "loopvar i over ntri partition triangles\n"
-    "array x nodes\narray y nodes\narray k triangles\n"
-    "input x coherent\ninput k coherent\n"
-    "input nsom replicated\ninput ntri replicated\n";
+    "array x nodes\narray k triangles\n"
+    "input k coherent\ninput nsom replicated\ninput ntri replicated\n";
+constexpr const char* kSpecSequential =
+    "pattern overlap-triangle-layer\ninput nsom replicated\n";
 
 const std::vector<Case>& cases() {
   static const std::vector<Case> kCases = {
@@ -42,7 +52,7 @@ const std::vector<Case>& cases() {
        "        x(i) = c\n"
        "      end do\n"
        "      end\n",
-       kSpecNodes, false},
+       kSpecX, false},
       {"b", "loop-independent dependence inside one iteration",
        "      subroutine f(nsom,x,y)\n"
        "      integer nsom,i\n"
@@ -52,7 +62,7 @@ const std::vector<Case>& cases() {
        "        y(i) = t\n"
        "      end do\n"
        "      end\n",
-       kSpecNodes, true},
+       kSpecXY, true},
       {"c", "carried anti/output dependences on a temporary (localized)",
        "      subroutine f(nsom,x,y)\n"
        "      integer nsom,i\n"
@@ -62,7 +72,7 @@ const std::vector<Case>& cases() {
        "        y(i) = t + 1.0\n"
        "      end do\n"
        "      end\n",
-       kSpecNodes, true},
+       kSpecXY, true},
       {"d", "acyclic true dependence across iterations (software pipeline)",
        "      subroutine f(nsom,x,y,t)\n"
        "      integer nsom,i\n"
@@ -72,7 +82,7 @@ const std::vector<Case>& cases() {
        "        t = x(i)\n"
        "      end do\n"
        "      end\n",
-       kSpecNodes, false},
+       kSpecXY, false},
       {"asm*", "multiplicative array update (commutative, allowed)",
        "      subroutine f(nsom,ntri,k,x)\n"
        "      integer nsom,ntri,i\n"
@@ -82,7 +92,7 @@ const std::vector<Case>& cases() {
        "        x(k(i)) = x(k(i)) * 2.0\n"
        "      end do\n"
        "      end\n",
-       kSpecNodes, true},
+       kSpecAssembly, true},
       {"e", "control dependence within one iteration",
        "      subroutine f(nsom,x,y)\n"
        "      integer nsom,i\n"
@@ -93,7 +103,7 @@ const std::vector<Case>& cases() {
        "        end if\n"
        "      end do\n"
        "      end\n",
-       kSpecNodes, true},
+       kSpecXY, true},
       {"f", "dependence between two partitioned loops through memory",
        "      subroutine f(nsom,x,y)\n"
        "      integer nsom,i\n"
@@ -105,7 +115,7 @@ const std::vector<Case>& cases() {
        "        y(i) = x(i)\n"
        "      end do\n"
        "      end\n",
-       kSpecNodes, true},
+       kSpecXY, true},
       {"g", "value of a particular iteration escapes the loop",
        "      subroutine f(nsom,x,out)\n"
        "      integer nsom,i\n"
@@ -115,7 +125,7 @@ const std::vector<Case>& cases() {
        "      end do\n"
        "      out = t\n"
        "      end\n",
-       kSpecNodes, false},
+       kSpecX, false},
       {"g-red", "reduction escapes the loop (the allowed exception)",
        "      subroutine f(nsom,x,out)\n"
        "      integer nsom,i\n"
@@ -126,7 +136,7 @@ const std::vector<Case>& cases() {
        "      end do\n"
        "      out = s\n"
        "      end\n",
-       kSpecNodes, true},
+       kSpecX, true},
       {"h", "dependences entirely in non-partitioned code",
        "      subroutine f(nsom,out)\n"
        "      integer nsom\n"
@@ -135,7 +145,7 @@ const std::vector<Case>& cases() {
        "      c = c * 3.0\n"
        "      out = c\n"
        "      end\n",
-       kSpecNodes, true},
+       kSpecSequential, true},
       {"i", "replicated value flows into a partitioned loop",
        "      subroutine f(nsom,x)\n"
        "      integer nsom,i\n"
@@ -145,7 +155,7 @@ const std::vector<Case>& cases() {
        "        x(i) = c\n"
        "      end do\n"
        "      end\n",
-       kSpecNodes, true},
+       kSpecX, true},
       {"asm", "array assembly (gather-scatter accumulation, allowed)",
        "      subroutine f(nsom,ntri,k,x)\n"
        "      integer nsom,ntri,i\n"
@@ -155,7 +165,7 @@ const std::vector<Case>& cases() {
        "        x(k(i)) = x(k(i)) + 2.0\n"
        "      end do\n"
        "      end\n",
-       kSpecNodes, true},
+       kSpecAssembly, true},
   };
   return kCases;
 }
