@@ -6,20 +6,6 @@
 
 namespace meshpar::lang {
 
-bool is_comparison(BinOp op) {
-  switch (op) {
-    case BinOp::kLt:
-    case BinOp::kLe:
-    case BinOp::kGt:
-    case BinOp::kGe:
-    case BinOp::kEq:
-    case BinOp::kNe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 const char* to_fortran(BinOp op) {
   switch (op) {
     case BinOp::kAdd: return "+";

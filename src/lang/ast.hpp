@@ -40,8 +40,6 @@ enum class BinOp {
 
 enum class UnOp { kNeg, kNot };
 
-/// True for the six relational operators.
-[[nodiscard]] bool is_comparison(BinOp op);
 [[nodiscard]] const char* to_fortran(BinOp op);
 
 struct Expr;

@@ -55,8 +55,6 @@ double assemble_residual(const mesh::Mesh2D& m,
 
 }  // namespace
 
-double advdiff_flops_per_tri(const AdvDiffParams& p) { return 40.0 * p.work; }
-
 std::vector<double> advdiff_sequential(const mesh::Mesh2D& m,
                                        const std::vector<double>& u0,
                                        const AdvDiffParams& p) {

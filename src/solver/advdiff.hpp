@@ -36,7 +36,4 @@ std::vector<double> advdiff_spmd(runtime::World& world, const mesh::Mesh2D& m,
                                  const std::vector<double>& u0,
                                  const AdvDiffParams& p);
 
-/// Per-triangle flop count of one step (for tests of the cost accounting).
-double advdiff_flops_per_tri(const AdvDiffParams& p);
-
 }  // namespace meshpar::solver
